@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import FFElement, FiniteField, field_create, linearized_operator, solve_linear
+from .gf import FFElement, FiniteField, linearized_operator, solve_linear
 
 
 class ZeroA(Exception):
@@ -154,11 +154,6 @@ class GaussScale:
 
 
 @lru_cache(maxsize=None)
-def _prime_field(p: int) -> FiniteField:
-    return field_create(p, 1)
-
-
-@lru_cache(maxsize=None)
 def g1(p: int) -> CycInt:
     """The concrete Gauss sum over F_p: sum of eta1(c) zeta^c."""
     v = [0] * p
@@ -175,32 +170,31 @@ def _counts_to_cyc(p, counts) -> CycInt:
     return CycInt(p, [int(c) for c in counts])
 
 
+def _exhaustive_sum(field: FiniteField, e: int, a: FFElement, b: FFElement) -> CycInt:
+    """Sum of zeta^{Tr(a x^e + b x)} over every x of the field, term by term.
+
+    Tr(a y) for every y is one row of the trace form, so the whole sum costs
+    O(q m) and builds no (q, q) table.
+    """
+    tr_a, tr_b = field.trace_forms([a.index, b.index])
+    exps = tr_a[field.power_table(e)] + tr_b
+    return _counts_to_cyc(field.p, np.bincount(exps % field.p, minlength=field.p))
+
+
 def gauss_sum_bruteforce(field: FiniteField) -> CycInt:
-    """Exhaustive sum of eta(c) zeta^{Tr(c)} over the whole field."""
-    p = field.p
-    if field.q <= 1 << 16:
-        tr = np.asarray(field.trace_table(), dtype=np.int64)
-        et = np.asarray(field.eta_table(), dtype=np.int64)
-        plus = np.bincount(tr[et == 1], minlength=p)
-        minus = np.bincount(tr[et == -1], minlength=p)
-        return _counts_to_cyc(p, plus - minus)
-    v = [0] * p
-    for i in range(field.q):
-        e = field.eta_i(i)
-        if e:
-            v[field.trace_i(i)] += e
-    return CycInt(p, v)
+    """Exhaustive sum of eta(c) zeta^{Tr(c)} over the whole field.
+
+    Summed as zeta^{Tr(x^2)} over every x, which is the same sum: x^2 = c
+    has 1 + eta(c) roots, and zeta^{Tr(c)} summed over all c vanishes.
+    """
+    return _exhaustive_sum(field, 2, field.one(), field.zero())
 
 
 def orthogonality_sum(field: FiniteField, b: FFElement) -> CycInt:
     """Sum of zeta^{Tr(bx)} over x; brute force, asserted against the closed form."""
     p = field.p
-    bi = b.index
-    counts = [0] * p
-    for x in range(field.q):
-        counts[field.trace_i(field.mul_i(bi, x))] += 1
-    val = CycInt(p, counts)
-    expected = CycInt.integer(p, field.q) if bi == 0 else CycInt.zero(p)
+    val = _exhaustive_sum(field, 1, field.zero(), b)
+    expected = CycInt.integer(p, field.q) if b.is_zero() else CycInt.zero(p)
     assert val == expected, "orthogonality relation violated"
     return val
 
@@ -209,37 +203,14 @@ def weil_sum_bruteforce(field: FiniteField, u: int, a: FFElement, b: FFElement) 
     """Exhaustive sum of zeta^{Tr(a x^{p^u + 1} + b x)}."""
     if a.is_zero():
         raise ZeroA("a must be nonzero")
-    p = field.p
-    if field.q <= 2048:
-        tp = field.trace_of_products()
-        pw = field.power_table(field.p**u + 1)
-        exps = (tp[a.index, pw].astype(np.int64) + tp[b.index]) % p
-        return _counts_to_cyc(p, np.bincount(exps, minlength=p))
-    e = field.p**u + 1
-    v = [0] * p
-    ai, bi = a.index, b.index
-    for x in range(field.q):
-        t = field.add_i(field.mul_i(ai, field.pow_i(x, e)), field.mul_i(bi, x))
-        v[field.trace_i(t)] += 1
-    return CycInt(p, v)
+    return _exhaustive_sum(field, field.p**u + 1, a, b)
 
 
 def quad_sum_bruteforce(field: FiniteField, a: FFElement, b: FFElement) -> CycInt:
     """Exhaustive sum of zeta^{Tr(a x^2 + b x)}."""
     if a.is_zero():
         raise ZeroA("a must be nonzero")
-    p = field.p
-    if field.q <= 2048:
-        tp = field.trace_of_products()
-        sq = field.power_table(2)
-        exps = (tp[a.index, sq].astype(np.int64) + tp[b.index]) % p
-        return _counts_to_cyc(p, np.bincount(exps, minlength=p))
-    v = [0] * p
-    ai, bi = a.index, b.index
-    for x in range(field.q):
-        t = field.add_i(field.mul_i(ai, field.mul_i(x, x)), field.mul_i(bi, x))
-        v[field.trace_i(t)] += 1
-    return CycInt(p, v)
+    return _exhaustive_sum(field, 2, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -274,21 +245,25 @@ def _eta_scalar_ext(field: FiniteField, x: int) -> int:
     return 1 if field.m % 2 == 0 else eta1(field.p, x)
 
 
-@lru_cache(maxsize=None)
-def _weil_dispatch(field: FiniteField, u: int, a_idx: int):
-    """Per-(field, u, a) data for the closed Weil sum: case tag and solver."""
+def _weil_dispatch(field: FiniteField, u: int, a: FFElement):
+    """Per-(u, a) data for the closed Weil sum, kept with the field: solver and scale.
+
+    The sum is scale * zeta^e when the shift equation is solvable, else 0.
+    """
     p, m = field.p, field.m
     v = math.gcd(m, u)
-    a = field.from_index(a_idx)
-    op = linearized_operator(field, a, u)
-    if (m // v) % 2 == 1:
-        return ("odd", v, op)
-    s = m // 2
-    target = field.scalar((-1) ** (s // v))
-    t = a ** ((p**m - 1) // (p**v + 1))
-    if t != target:
-        return ("even_perm", v, op)
-    return ("even_sing", v, op)
+
+    def build():
+        op = linearized_operator(field, a, u)
+        if (m // v) % 2 == 1:
+            return op, gauss_sum_closed(p, m) * a.eta()
+        s = m // 2
+        sign = (-1) ** (s // v)
+        if a ** ((p**m - 1) // (p**v + 1)) != field.scalar(sign):
+            return op, CycInt.integer(p, sign * p**s)
+        return op, CycInt.integer(p, -sign * p ** (s + v))
+
+    return field.cached(("weil", u, a.index), build)
 
 
 def weil_sum_closed(field: FiniteField, u: int, a: FFElement, b: FFElement) -> CycInt:
@@ -301,21 +276,13 @@ def weil_sum_closed(field: FiniteField, u: int, a: FFElement, b: FFElement) -> C
     """
     if a.is_zero():
         raise ZeroA("a must be nonzero")
-    p, m = field.p, field.m
-    case, v, op = _weil_dispatch(field, u, a.index)
-    rhs = -(b.frobenius_iterate(u))
-    sol = solve_linear(op, rhs)
+    op, scale = _weil_dispatch(field, u, a)
+    sol = solve_linear(op, -(b.frobenius_iterate(u)))
     if sol.kind == "none":
-        return CycInt.zero(p)
+        return CycInt.zero(field.p)
     x0 = sol.particular
-    e = (-(a * x0 ** (p**u + 1))).trace()
-    if case == "odd":
-        return gauss_sum_closed(p, m) * a.eta() * CycInt.zeta(p, e)
-    s = m // 2
-    sign = (-1) ** (s // v)
-    if case == "even_perm":
-        return _scaled_zeta(p, sign * p**s, 0, e)
-    return _scaled_zeta(p, -sign * p ** (s + v), 0, e)
+    e = (-(a * x0.frobenius_iterate(u) * x0)).trace()  # Tr(-a x0^{p^u+1})
+    return scale * CycInt.zeta(field.p, e)
 
 
 def quad_sum_closed(field: FiniteField, a: FFElement, b: FFElement) -> CycInt:
@@ -338,21 +305,27 @@ def restricted_power_check(z: int, field: FiniteField, u: int) -> bool:
     return zi ** ((p**m - 1) // (p**v + 1)) == field.one()
 
 
-@lru_cache(maxsize=None)
-def _gamma_solver(field: FiniteField, u: int):
-    """Solutions gamma_b of X^{p^{2u}} + X = -b^{p^u}, tabulated per b index."""
-    op = linearized_operator(field, field.one(), u)
-    out = []
-    for bi in range(field.q):
-        b = field.from_index(bi)
-        sol = solve_linear(op, -(b.frobenius_iterate(u)))
-        out.append(None if sol.kind == "none" else sol.particular)
-    return tuple(out)
+def gamma_table(field: FiniteField, u: int) -> np.ndarray:
+    """Index of gamma_b for every b index, -1 where X^{p^{2u}} + X = -b^{p^u} is unsolvable.
+
+    The right-hand side is F_p-linear in b, so one elimination serves every b:
+    gamma_b is solve_linear's particular solution, applied to all the digit
+    rows of -b^{p^u} at once.  The table is kept with the field.
+    """
+
+    def build():
+        op = linearized_operator(field, field.one(), u)
+        rhs = -field.digits() @ field.frob_matrix(u) % field.p
+        solvable, gam = op.solve_rows(rhs)
+        return np.where(solvable, field.indices_of(gam), -1)
+
+    return field.cached(("gamma", u), build)
 
 
 def gamma_of(field: FiniteField, u: int, b: FFElement) -> FFElement | None:
     """The designated solution of X^{p^{2u}} + X = -b^{p^u} (None when unsolvable)."""
-    return _gamma_solver(field, u)[b.index]
+    gi = int(gamma_table(field, u)[b.index])
+    return None if gi < 0 else field.from_index(gi)
 
 
 def weil_sum_scalar_closed(field: FiniteField, u: int, z1: int, z2: int, b: FFElement) -> CycInt:

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 
 from .bounds import classify
 from .codes import (
@@ -22,6 +23,7 @@ from .codes import (
     complete_weight_enumerator,
     dump_lines,
 )
+from .gf import GFError
 from .theory import case_of, predict_cwe
 
 # the twelve example rows reproduced by `tables`: (lambda, m1, m2, u)
@@ -68,7 +70,8 @@ def _parse_modulus(text):
 
 
 def spec_from_args(args) -> CodeSpec:
-    return CodeSpec(
+    """The spec named on the command line, with both fields built, so a bad modulus fails here."""
+    spec = CodeSpec(
         args.p,
         args.m1,
         args.m2,
@@ -78,6 +81,21 @@ def spec_from_args(args) -> CodeSpec:
         mod1=_parse_modulus(args.modulus1),
         mod2=_parse_modulus(args.modulus2),
     )
+    spec.field1, spec.field2  # building each field checks its modulus
+    return spec
+
+
+class _ArgumentError(Exception):
+    """A command-line value the program cannot use (exit code 2)."""
+
+
+@contextmanager
+def _user_input():
+    """Report a GFError or ValueError raised while checking user input as an _ArgumentError."""
+    try:
+        yield
+    except (GFError, ValueError) as exc:
+        raise _ArgumentError(str(exc)) from exc
 
 
 def resolve_budget(args) -> int | None:
@@ -165,6 +183,8 @@ def parse_sweep(text: str) -> list[CodeSpec]:
                     for lam in lams:
                         for punct in punct_flags:
                             specs.append(CodeSpec(p, m1, m2, u, lam, punct))
+    if not specs:
+        raise ValueError(f"sweep {text!r} selects no specs")
     return specs
 
 
@@ -224,7 +244,8 @@ def _spec_line(spec: CodeSpec) -> str:
 
 
 def cmd_construct(args) -> int:
-    spec = spec_from_args(args)
+    with _user_input():
+        spec = spec_from_args(args)
     ds = build_defining_set(spec)
     key = case_of(spec)
     if args.format == "json":
@@ -248,7 +269,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    spec = spec_from_args(args)
+    with _user_input():
+        spec = spec_from_args(args)
     ds = build_defining_set(spec)
     res = complete_weight_enumerator(ds, resolve_budget(args))
     if args.format == "json":
@@ -273,7 +295,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    spec = spec_from_args(args)
+    with _user_input():
+        spec = spec_from_args(args)
     pred = predict_cwe(spec)
     if args.format == "json":
         _emit(
@@ -302,7 +325,8 @@ def cmd_predict(args) -> int:
 
 def cmd_verify(args) -> int:
     budget = resolve_budget(args)
-    specs = parse_sweep(args.sweep) if args.sweep is not None else [spec_from_args(args)]
+    with _user_input():
+        specs = parse_sweep(args.sweep) if args.sweep is not None else [spec_from_args(args)]
     reports = []
     all_ok = True
     for spec in specs:
@@ -372,7 +396,8 @@ def cmd_tables(args) -> int:
 
 
 def cmd_griesmer(args) -> int:
-    rep = classify(args.p, args.n, args.k, args.d)
+    with _user_input():
+        rep = classify(args.p, args.n, args.k, args.d)
     if args.format == "json":
         _emit(
             {
@@ -470,6 +495,9 @@ def main(argv=None) -> int:
             parser.error("verify needs --p --m1 --m2 --u --lambda (or --sweep)")
     try:
         return args.func(args)
+    except _ArgumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -127,22 +127,22 @@ def build_defining_set(spec: CodeSpec) -> DefiningSet:
     ys = lex2[hits[:, 1]]
     if not spec.punctured:
         return DefiningSet(spec, xs, ys)
-    # one representative per scaling orbit; first-seen in lex order is the
-    # lex-smallest point of its orbit
+    # one representative per scaling orbit {c (x, y)}: the lex-smallest point,
+    # which is the one the lex-ordered scan meets first.  c (x, y) scales the
+    # digit rows by c mod p.
+    p = spec.p
     if spec.lam == 0:
-        scalars = range(1, spec.p)
+        scalars = range(2, p)
     else:
-        scalars = (1, spec.p - 1)  # +-1: only sign flips preserve the level set
-    keep_x, keep_y = [], []
-    seen = set()
-    for x, y in zip(xs.tolist(), ys.tolist()):
-        if (x, y) in seen:
-            continue
-        keep_x.append(x)
-        keep_y.append(y)
-        for c in scalars:
-            seen.add((f1.mul_i(c, x), f2.mul_i(c, y)))
-    return DefiningSet(spec, np.array(keep_x, dtype=np.int64), np.array(keep_y, dtype=np.int64))
+        scalars = (p - 1,)  # -1: only sign flips preserve the level set
+    dx, dy = f1.digits()[xs].astype(np.int64), f2.digits()[ys].astype(np.int64)
+
+    def rank(c):
+        return f1.lex_rank(c * dx % p) * f2.q + f2.lex_rank(c * dy % p)
+
+    own = rank(1)
+    keep = np.all([rank(c) > own for c in scalars], axis=0)
+    return DefiningSet(spec, xs[keep], ys[keep])
 
 
 def encode(ds: DefiningSet, a: FFElement, b: FFElement) -> list[int]:
@@ -207,17 +207,9 @@ def complete_weight_enumerator(
     rows = table.reshape(-1, p)
     uniq, counts = np.unique(rows, axis=0, return_counts=True)
     cwe = {tuple(int(c) for c in comp): int(k) for comp, k in zip(uniq, counts)}
-    we: dict[int, int] = {}
-    for comp, k in cwe.items():
-        we[n - comp[0]] = we.get(n - comp[0], 0) + k
-    zero_count = cwe.get((n,) + (0,) * (p - 1), 0)
-    dim = spec.K
-    z = zero_count
-    while z > 1:
-        if z % p:
-            raise AssertionError("zero-codeword count is not a power of p")
-        z //= p
-        dim -= 1
+    we, dim = we_and_dimension(cwe, n, spec.K, p)
+    if dim is None:
+        raise AssertionError("zero-codeword count is not a power of p")
     return EnumerationResult(length=n, dimension=dim, cwe=cwe, we=we, table=table)
 
 
@@ -231,6 +223,23 @@ def we_from_cwe(cwe: dict[tuple[int, ...], int], n: int) -> dict[int, int]:
     for comp, k in cwe.items():
         out[n - comp[0]] = out.get(n - comp[0], 0) + k
     return out
+
+
+def we_and_dimension(cwe: dict[tuple[int, ...], int], n: int, K: int, p: int):
+    """(weight enumerator, dimension) of a length-n CWE over the p^K messages.
+
+    The zero composition's frequency is the size p^{K - dim} of the encoding
+    kernel; the dimension is None when that frequency is not a power of p.
+    """
+    we = we_from_cwe(cwe, n)
+    z = cwe.get((n,) + (0,) * (p - 1), 0)
+    dim = K
+    while z > 1:
+        if z % p:
+            return we, None
+        z //= p
+        dim -= 1
+    return we, dim
 
 
 def dump_lines(ds: DefiningSet):

@@ -1,19 +1,30 @@
 """Exact arithmetic in F_p and its extensions F_{p^m}.
 
 Elements are coefficient vectors over F_p in the power basis of a monic
-irreducible modulus.  Everything is plain integer arithmetic; no floats
-appear anywhere in this package's value domain.
+irreducible modulus f; the element of index i has the base-p digits of i as
+its coefficients, low degree first.  Everything is plain integer arithmetic;
+no floats appear anywhere in this package's value domain.
 
-Small fields (q <= _TABLE_LIMIT) additionally carry lazily built numpy
-lookup tables so that exhaustive sums and code enumeration elsewhere can
-run vectorized.  The tables are an implementation detail: the element API
-works for any desk-scale field.
+Whole-field work runs on (N, m) arrays of digit rows, at any field size:
+
+* a product is the schoolbook product of two rows, reduced through the
+  digit rows of X^k mod f for k < 2m - 1;
+* the Frobenius x -> x^p is an m x m matrix over F_p;
+* the trace is a linear functional, Tr(X^i) being the trace of
+  multiplication by X^i (Lidl & Niederreiter, Finite Fields, ch. 2);
+* Tr(xy) is the trace-form Gram matrix G[i, j] = Tr(X^{i+j}), so the table
+  of Tr(xy) is D G D^T mod p for the digit array D of all elements.
+
+Single elements (`FFElement`, the index helpers and the irreducibility test)
+stay on pure-Python polynomial arithmetic, which is faster than a one-row
+array product.  Derived data is kept in each field's own cache, so it is
+freed with the field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -171,7 +182,7 @@ def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
 # fields and elements
 # ---------------------------------------------------------------------------
 
-_TABLE_LIMIT = 2048  # build O(q) / O(q^2) lookup tables only below this size
+_BLOCK = 1 << 20  # entries per transient block while building a (q, q) table
 
 
 class FiniteField:
@@ -211,6 +222,13 @@ class FiniteField:
 
     def __repr__(self):
         return f"FiniteField(p={self.p}, m={self.m})"
+
+    def cached(self, key, build):
+        """Derived data of this field: build() on the first use of key, then kept with the field."""
+        val = self._caches.get(key)
+        if val is None:
+            val = self._caches[key] = build()
+        return val
 
     # -- index <-> coefficient encoding (index = sum c_i p^i) --
 
@@ -259,195 +277,183 @@ class FiniteField:
         for i in range(self.q):
             yield self.from_index(i)
 
-    # -- index-level arithmetic (exact; table-free fallbacks work at any size) --
-
-    def add_i(self, i: int, j: int) -> int:
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.m):
-            i, a = divmod(i, p)
-            j, b = divmod(j, p)
-            out += ((a + b) % p) * mult
-            mult *= p
-        return out
-
-    def neg_i(self, i: int) -> int:
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.m):
-            i, a = divmod(i, p)
-            out += (-a % p) * mult
-            mult *= p
-        return out
+    # -- index-level arithmetic on single elements (polynomial path) --
 
     def mul_i(self, i: int, j: int) -> int:
-        tables = self._caches.get("mul_table")
-        if tables is not None:
-            return int(tables[i, j])
         prod = _poly_mulmod(self.coeffs_of(i), self.coeffs_of(j), self.modulus, self.p)
         return self.index_of(prod)
 
     def pow_i(self, i: int, e: int) -> int:
         if e < 0:
             return self.pow_i(self.inv_i(i), -e)
-        result = 1  # index of 1
-        acc = i
-        while e:
-            if e & 1:
-                result = self.mul_i(result, acc)
-            acc = self.mul_i(acc, acc)
-            e >>= 1
-        return result
+        return self.index_of(_poly_powmod(self.coeffs_of(i), e, self.modulus, self.p))
 
     def inv_i(self, i: int) -> int:
         if i == 0:
             raise DivisionByZero("inverse of zero")
         return self.pow_i(i, self.q - 2)
 
-    def frob_i(self, i: int, k: int = 1) -> int:
-        return self.pow_i(i, self.p ** (k % self.m))
-
     def trace_i(self, i: int) -> int:
-        vec = self._caches.get("trace_vec")
-        if vec is not None:
-            return int(vec[i])
-        acc = i
-        tot = i
-        for _ in range(self.m - 1):
-            acc = self.frob_i(acc, 1)
-            tot = self.add_i(tot, acc)
-        # total lies in the prime field: index equals the F_p value
-        return tot
+        return sum(c * t for c, t in zip(self.coeffs_of(i), self._trace_functional())) % self.p
 
     def eta_i(self, i: int) -> int:
         if i == 0:
             return 0
-        vec = self._caches.get("eta_vec")
-        if vec is not None:
-            return int(vec[i])
-        r = self.pow_i(i, (self.q - 1) // 2)
-        return 1 if r == 1 else -1
+        return 1 if self.pow_i(i, (self.q - 1) // 2) == 1 else -1
 
-    # -- vectorized lookup tables (small fields only) --
+    # -- the digit-array core --
 
-    def _digits_matrix(self) -> np.ndarray:
-        """(q, m) matrix of base-p digits of every index."""
-        dm = self._caches.get("digits")
-        if dm is None:
+    def digits(self) -> np.ndarray:
+        """(q, m) int16 array whose row i holds the coefficients of the element of index i."""
+
+        def build():
             idx = np.arange(self.q, dtype=np.int64)
-            cols = []
-            for _ in range(self.m):
-                idx, c = np.divmod(idx, self.p)
-                cols.append(c)
-            dm = np.stack(cols, axis=1).astype(np.int16)
-            self._caches["digits"] = dm
-        return dm
+            cols = [idx // self.p**k % self.p for k in range(self.m)]
+            return np.stack(cols, axis=1).astype(np.int16)
+
+        return self.cached("digits", build)
+
+    def indices_of(self, rows) -> np.ndarray:
+        """Indices of the elements whose coefficients are the (reduced) digit rows."""
+        return np.asarray(rows, dtype=np.int64) @ (self.p ** np.arange(self.m, dtype=np.int64))
+
+    def _powers_of_x(self) -> np.ndarray:
+        """(2m - 1, m) digit rows of X^k mod the modulus, for k < 2m - 1."""
+
+        def build():
+            rows = [(1,) + (0,) * (self.m - 1)]
+            for _ in range(2 * self.m - 2):
+                rows.append(_poly_mulmod(rows[-1], (0, 1), self.modulus, self.p))
+            return np.array(rows, dtype=np.int64)
+
+        return self.cached("x_powers", build)
+
+    def mulmod(self, a, b) -> np.ndarray:
+        """Products of two broadcastable (..., m) digit arrays, row by row."""
+        m = self.m
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        prod = np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-1] + (2 * m - 1,), dtype=np.int64)
+        for i in range(m):
+            prod[..., i : i + m] += a[..., i : i + 1] * b
+        return (prod % self.p) @ self._powers_of_x() % self.p
+
+    def frob_matrix(self, k: int = 1) -> np.ndarray:
+        """m x m matrix of x -> x^{p^k} on digit rows (x F): row i holds (X^i)^{p^k}."""
+        k %= self.m
+
+        def build():
+            if k == 0:
+                return np.eye(self.m, dtype=np.int64)
+            if k > 1:
+                return self.frob_matrix(k - 1) @ self.frob_matrix(1) % self.p
+            units = np.eye(self.m, dtype=np.int64).tolist()
+            rows = [_poly_powmod(tuple(e), self.p, self.modulus, self.p) for e in units]
+            return np.array(rows, dtype=np.int64)
+
+        return self.cached(("frob", k), build)
+
+    def _trace_functional(self) -> tuple[int, ...]:
+        """Tr(X^i) for i < m: the trace of multiplication by X^i, whose rows are X^{i+j}."""
+
+        def build():
+            xk = self._powers_of_x()
+            m = self.m
+            return tuple(int(sum(xk[i + j, j] for j in range(m)) % self.p) for i in range(m))
+
+        return self.cached("trace_functional", build)
+
+    def _gram(self) -> np.ndarray:
+        """Trace-form Gram matrix G[i, j] = Tr(X^{i+j}): Tr(xy) = x G y^T on digit rows."""
+
+        def build():
+            tk = self._powers_of_x() @ np.array(self._trace_functional()) % self.p
+            i = np.arange(self.m)
+            return tk[i[:, None] + i[None, :]]
+
+        return self.cached("gram", build)
+
+    def trace_forms(self, indices) -> np.ndarray:
+        """Row r holds Tr(x y) for the element x of index indices[r] and every index y (int64)."""
+        d = self.digits()
+        return d[indices] @ self._gram() @ d.T % self.p
+
+    def lex_rank(self, rows) -> np.ndarray:
+        """Position of each digit row in the lexicographic order of coefficient tuples."""
+        return self.indices_of(np.asarray(rows)[..., ::-1])
+
+    # -- whole-field tables, each built once per field --
 
     def lex_order(self) -> np.ndarray:
         """Indices of all elements sorted lexicographically by coefficient tuple."""
-        order = self._caches.get("lex_order")
-        if order is None:
-            dm = self._digits_matrix()
-            order = np.lexsort(dm.T[::-1]).astype(np.int64)
-            self._caches["lex_order"] = order
-        return order
-
-    def mul_table(self) -> np.ndarray:
-        """(q, q) index multiplication table (built via a discrete-log pair)."""
-        tab = self._caches.get("mul_table")
-        if tab is None:
-            if self.q > _TABLE_LIMIT:
-                raise GFError(f"q = {self.q} too large for dense tables")
-            g = self._generator_index()
-            n = self.q - 1
-            exp = np.empty(n, dtype=np.int64)
-            acc = 1
-            for k in range(n):
-                exp[k] = acc
-                acc = self.mul_i(acc, g)
-            log = np.empty(self.q, dtype=np.int64)
-            log[exp] = np.arange(n)
-            tab = exp[(log[1:, None] + log[None, 1:]) % n]
-            full = np.zeros((self.q, self.q), dtype=np.int32)
-            full[1:, 1:] = tab
-            self._caches["mul_table"] = full
-            tab = full
-        return tab
-
-    def _generator_index(self) -> int:
-        g = self._caches.get("generator")
-        if g is None:
-            n = self.q - 1
-            facs = _prime_factors(n)
-            for cand in range(1, self.q):
-                if all(self.pow_i(cand, n // r) != 1 for r in facs):
-                    g = cand
-                    break
-            self._caches["generator"] = g
-        return g
+        return self.cached("lex_order", lambda: np.argsort(self.lex_rank(self.digits())))
 
     def trace_table(self) -> np.ndarray:
-        vec = self._caches.get("trace_vec")
-        if vec is None:
-            frob = self.frob_table()
-            acc = np.arange(self.q, dtype=np.int64)
-            dm = self._digits_matrix()
-            tot = dm.astype(np.int64).copy()
-            for _ in range(self.m - 1):
-                acc = frob[acc]
-                tot += dm[acc]
-            # trace lives in F_p, so only the constant digit can be nonzero
-            vec = np.mod(tot[:, 0], self.p).astype(np.int16)
-            assert not np.mod(tot[:, 1:], self.p).any()
-            self._caches["trace_vec"] = vec
-        return vec
+        """Tr(x) for every index x (int16)."""
+        return self.cached(
+            "trace_vec",
+            lambda: (self.digits() @ np.array(self._trace_functional()) % self.p).astype(np.int16),
+        )
 
     def frob_table(self) -> np.ndarray:
-        frob = self._caches.get("frob_vec")
-        if frob is None:
-            frob = np.fromiter(
-                (self.pow_i(i, self.p) for i in range(self.q)), dtype=np.int64, count=self.q
-            )
-            self._caches["frob_vec"] = frob
-        return frob
+        """x^p for every index x, as an index vector."""
+        return self.cached(
+            "frob_vec", lambda: self.indices_of(self.digits() @ self.frob_matrix(1) % self.p)
+        )
 
     def eta_table(self) -> np.ndarray:
-        vec = self._caches.get("eta_vec")
-        if vec is None:
-            vec = np.fromiter(
-                (self.eta_i(i) if i else 0 for i in range(self.q)), dtype=np.int8, count=self.q
-            )
-            self._caches["eta_vec"] = vec
-        return vec
+        """Quadratic character of every index (int8): the nonzero squares get +1."""
+
+        def build():
+            eta = np.full(self.q, -1, dtype=np.int8)
+            eta[self.power_table(2)] = 1
+            eta[0] = 0
+            return eta
+
+        return self.cached("eta_vec", build)
 
     def power_table(self, e: int) -> np.ndarray:
-        """x^e for every index x, as an index vector."""
-        key = ("pow", e)
-        vec = self._caches.get(key)
-        if vec is None:
-            mt = self.mul_table()
-            vec = np.ones(self.q, dtype=np.int64)
-            acc = np.arange(self.q, dtype=np.int64)
-            ee = e
-            while ee:
-                if ee & 1:
-                    vec = mt[vec, acc]
-                acc = mt[acc, acc]
-                ee >>= 1
-            if e > 0:
-                vec[0] = 0
-            self._caches[key] = vec
-        return vec
+        """x^e for every index x, as an int32 index vector (0^0 = 1)."""
+
+        def build():
+            out = np.zeros((self.q, self.m), dtype=np.int64)
+            out[:, 0] = 1
+            acc = self.digits()
+            k = e
+            while k:
+                if k & 1:
+                    out = self.mulmod(out, acc)
+                k >>= 1
+                if k:
+                    acc = self.mulmod(acc, acc)
+            return self.indices_of(out).astype(np.int32)
+
+        return self.cached(("pow", e), build)
 
     def trace_of_products(self) -> np.ndarray:
-        """(q, q) int8 table of Tr(x*y)."""
-        ta = self._caches.get("trace_prod")
-        if ta is None:
-            ta = self.trace_table()[self.mul_table()].astype(np.int8)
-            self._caches["trace_prod"] = ta
-        return ta
+        """(q, q) int8 table of Tr(x*y), built as D G D^T mod p in row blocks."""
+
+        def build():
+            out = np.empty((self.q, self.q), dtype=np.int8)
+            step = max(1, _BLOCK // self.q)
+            for lo in range(0, self.q, step):
+                out[lo : lo + step] = self.trace_forms(np.arange(lo, min(lo + step, self.q)))
+            return out
+
+        return self.cached("trace_prod", build)
+
+    def mul_table(self) -> np.ndarray:
+        """(q, q) int32 index multiplication table, built in row blocks."""
+
+        def build():
+            d = self.digits()
+            out = np.empty((self.q, self.q), dtype=np.int32)
+            step = max(1, _BLOCK // (self.q * (2 * self.m - 1)))
+            for lo in range(0, self.q, step):
+                out[lo : lo + step] = self.indices_of(self.mulmod(d[lo : lo + step, None], d[None]))
+            return out
+
+        return self.cached("mul_table", build)
 
 
 def field_create(p: int, m: int, modulus=None) -> FiniteField:
@@ -513,9 +519,9 @@ class FFElement:
         return f.from_index(f.inv_i(self.index))
 
     def frobenius_iterate(self, k: int) -> "FFElement":
-        """x -> x^{p^k}, k reduced mod m."""
+        """x -> x^{p^k}, k reduced mod m, through the Frobenius matrix."""
         f = self.field
-        return f.from_index(f.frob_i(self.index, k))
+        return FFElement(f, tuple((np.array(self.coeffs) @ f.frob_matrix(k) % f.p).tolist()))
 
     def trace(self) -> int:
         """Tr(x) = sum of x^{p^i}, returned as a value in {0, ..., p-1}."""
@@ -570,9 +576,26 @@ class LinOperator:
         )
         return FFElement(self.field, out)
 
+    @cached_property
+    def _reduced(self):
+        """(reduced rows, pivot columns, row transform) of the matrix, from _eliminate."""
+        return _eliminate(self.matrix, self.field.p)
+
     def kernel_dim(self) -> int:
-        m = self.field.m
-        return m - _rank_mod_p([list(row) for row in self.matrix], self.field.p)
+        return self.field.m - len(self._reduced[1])
+
+    def solve_rows(self, rhs) -> tuple[np.ndarray, np.ndarray]:
+        """Designated particular solutions of op(X) = r for every digit row r of rhs at once.
+
+        Returns a boolean per row (solvable or not) and the (N, m) digit rows of
+        the solution whose free coordinates are zero (zero where unsolvable).
+        """
+        _, pivots, transform = self._reduced
+        rank = len(pivots)
+        y = np.asarray(rhs, dtype=np.int64) @ np.array(transform, dtype=np.int64).T % self.field.p
+        out = np.zeros_like(y)
+        out[:, pivots] = y[:, :rank]
+        return ~y[:, rank:].any(axis=1), out
 
 
 def linearized_operator(field: FiniteField, a: FFElement, u: int) -> LinOperator:
@@ -622,24 +645,31 @@ class SolutionSet:
         return any(x == s for s in self.solutions())
 
 
-def _rank_mod_p(rows, p):
-    rows = [list(r) for r in rows]
+def _eliminate(rows, p):
+    """Gauss-Jordan elimination over F_p of the n x k matrix given by its rows.
+
+    Returns (reduced, pivots, transform): the reduced row echelon form, its
+    pivot columns, and the invertible n x n row transform E with
+    E * rows = reduced (mod p).
+    """
     n = len(rows)
-    cols = len(rows[0]) if rows else 0
-    rank = 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, n) if rows[r][c] % p), None)
+    k = len(rows[0]) if rows else 0
+    aug = [[v % p for v in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    pivots = []
+    for c in range(k):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, n) if aug[r][c]), None)
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], p - 2, p)
-        rows[rank] = [(v * inv) % p for v in rows[rank]]
+        aug[rank], aug[piv] = aug[piv], aug[rank]
+        inv = pow(aug[rank][c], p - 2, p)
+        aug[rank] = [(v * inv) % p for v in aug[rank]]
         for r in range(n):
-            if r != rank and rows[r][c] % p:
-                f = rows[r][c]
-                rows[r] = [(v - f * w) % p for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+            if r != rank and aug[r][c]:
+                fac = aug[r][c]
+                aug[r] = [(v - fac * w) % p for v, w in zip(aug[r], aug[rank])]
+        pivots.append(c)
+    return [row[:k] for row in aug], pivots, [row[k:] for row in aug]
 
 
 def solve_linear(op: LinOperator, rhs: FFElement) -> SolutionSet:
@@ -648,35 +678,19 @@ def solve_linear(op: LinOperator, rhs: FFElement) -> SolutionSet:
     if rhs.field != f:
         raise FieldMismatch("rhs from a different field")
     p, m = f.p, f.m
-    aug = [list(row) + [rhs.coeffs[r]] for r, row in enumerate(op.matrix)]
-    pivots = []
-    rank = 0
-    for c in range(m):
-        piv = next((r for r in range(rank, m) if aug[r][c] % p), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = pow(aug[rank][c], p - 2, p)
-        aug[rank] = [(v * inv) % p for v in aug[rank]]
-        for r in range(m):
-            if r != rank and aug[r][c] % p:
-                fac = aug[r][c]
-                aug[r] = [(v - fac * w) % p for v, w in zip(aug[r], aug[rank])]
-        pivots.append(c)
-        rank += 1
-    for r in range(rank, m):
-        if aug[r][m] % p:
-            return SolutionSet("none", None, [])
+    reduced, pivots, transform = op._reduced
+    y = [sum(t * c for t, c in zip(row, rhs.coeffs)) % p for row in transform]
+    if any(y[len(pivots) :]):
+        return SolutionSet("none", None, [])
     part = [0] * m
     for r, c in enumerate(pivots):
-        part[c] = aug[r][m] % p
-    free = [c for c in range(m) if c not in pivots]
+        part[c] = y[r]
     basis = []
-    for fc in free:
+    for fc in (c for c in range(m) if c not in pivots):
         vec = [0] * m
         vec[fc] = 1
         for r, c in enumerate(pivots):
-            vec[c] = (-aug[r][fc]) % p
+            vec[c] = (-reduced[r][fc]) % p
         basis.append(f.element(tuple(vec)))
     particular = f.element(tuple(part))
     kind = "unique" if not basis else "affine"

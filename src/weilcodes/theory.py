@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charsum import GaussScale, eta1, gamma_of
-from .codes import CodeSpec
+from .charsum import GaussScale, eta1, gamma_of, gamma_table
+from .codes import CodeSpec, we_and_dimension
 from .gf import FFElement
 
 
@@ -316,17 +316,9 @@ def predict_cwe(spec: CodeSpec) -> PredictedEnumerator:
     if sum(cwe.values()) != p**spec.K:
         raise UnmatchedCase("class counts do not partition the message space")
 
-    zero_freq = cwe[(n,) + (0,) * (p - 1)]
-    dim = spec.K
-    while zero_freq > 1:
-        if zero_freq % p:
-            raise UnmatchedCase("zero-composition frequency is not a power of p")
-        zero_freq //= p
-        dim -= 1
-
-    we: dict[int, int] = {}
-    for comp, k in cwe.items():
-        we[n - comp[0]] = we.get(n - comp[0], 0) + k
+    we, dim = we_and_dimension(cwe, n, spec.K, p)
+    if dim is None:
+        raise UnmatchedCase("zero-composition frequency is not a power of p")
 
     thm = case_of(spec).theorem
     if not spec.punctured:
@@ -350,16 +342,10 @@ def predicted_table(spec: CodeSpec) -> np.ndarray:
     p = spec.p
     n = predict_length(full)
     inv4 = pow(4, p - 2, p)
-    a2 = f1.power_table(2)
-    ta = f1.trace_table()[f1.mul_table()[inv4][a2]].astype(np.int64)  # Tr(a^2/4)
-    e = p**spec.u + 1
-    tb = np.zeros(f2.q, dtype=np.int64)
-    solvable = np.zeros(f2.q, dtype=bool)
-    for bi in range(f2.q):
-        gam = gamma_of(f2, spec.u, f2.from_index(bi))
-        if gam is not None:
-            solvable[bi] = True
-            tb[bi] = (gam**e).trace()
+    ta = inv4 * f1.trace_table()[f1.power_table(2)].astype(np.int64)  # Tr(a^2/4)
+    gam = gamma_table(f2, spec.u)
+    solvable = gam >= 0
+    tb = np.where(solvable, f2.trace_table()[f2.power_table(p**spec.u + 1)[gam]], 0)
     T = (ta[:, None] + tb[None, :]) % p
     comp_by_t = np.array([_composition(full, True, t) for t in range(p)], dtype=np.int64)
     out = comp_by_t[T]

@@ -1,7 +1,10 @@
 """Character sums: CycInt algebra, Gauss/Weil/quadratic sums, closed vs brute."""
 
+import gc
 import itertools
 import math
+import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +28,23 @@ from weilcodes.charsum import (
     weil_sum_closed,
     weil_sum_scalar_closed,
 )
-from weilcodes.gf import field_create
+from weilcodes.gf import field_create, linearized_operator, solve_linear
+
+# fields above the former 2048-element limit of the dense tables, one with a
+# non-default modulus (the default for 47^2 is X^2 + 1)
+BIG_FIELDS = [(3, 7, None), (47, 2, (2, 1, 1))]
+BIG_PARAMS = [pytest.param(p, m, mod, id=f"{p}^{m}") for p, m, mod in BIG_FIELDS]
+
+
+def message_pairs(field):
+    """Every (a, b) with a nonzero, or a seeded sample of 40 of them above 2048 elements."""
+    if field.q <= 2048:
+        pairs = itertools.product(range(1, field.q), range(field.q))
+    else:
+        rng = random.Random(field.q)
+        pairs = [(rng.randrange(1, field.q), rng.randrange(field.q)) for _ in range(40)]
+    for ai, bi in pairs:
+        yield field.from_index(ai), field.from_index(bi)
 
 
 def dict_sum_oracle(p, terms):
@@ -91,12 +110,12 @@ def test_g1_squared_is_eta_minus_one_times_p():
         assert (g1(p) * g1(p)).as_int() == eta1(p, -1) * p
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_gauss_closed_equals_brute(p, m):
-    if p**m > 5000:
-        pytest.skip("desk scale")
-    assert gauss_sum_closed(p, m) == gauss_sum_bruteforce(field_create(p, m))
+@pytest.mark.parametrize(
+    "p,m,modulus",
+    [pytest.param(p, m, None, id=f"{m}-{p}") for m in (1, 2, 3, 4) for p in (3, 5, 7)] + BIG_PARAMS,
+)
+def test_gauss_closed_equals_brute(p, m, modulus):
+    assert gauss_sum_closed(p, m) == gauss_sum_bruteforce(field_create(p, m, modulus))
 
 
 def test_gauss_closed_m1_is_g1():
@@ -152,20 +171,18 @@ def test_weil_closed_spec_values():
 
 
 @pytest.mark.parametrize(
-    "p,m,us",
-    [(3, 1, (1, 2, 3)), (3, 2, (1, 2, 3)), (3, 3, (1, 2, 3)), (3, 4, (1, 2, 3)),
-     (5, 1, (1, 2, 3)), (5, 2, (1, 2, 3)), (5, 3, (1, 2, 3))],
+    "p,m,modulus",
+    [pytest.param(p, m, None, id=f"{p}-{m}-us{i}")
+     for i, (p, m) in enumerate([(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3)])]
+    + BIG_PARAMS,
 )
-def test_weil_closed_equals_brute_everywhere(p, m, us):
-    field = field_create(p, m)
-    for u in us:
-        for ai in range(1, field.q):
-            a = field.from_index(ai)
-            for bi in range(field.q):
-                b = field.from_index(bi)
-                assert weil_sum_closed(field, u, a, b) == weil_sum_bruteforce(field, u, a, b), (
-                    p, m, u, ai, bi,
-                )
+def test_weil_closed_equals_brute_everywhere(p, m, modulus):
+    field = field_create(p, m, modulus)
+    for u in (1, 2, 3):
+        for a, b in message_pairs(field):
+            assert weil_sum_closed(field, u, a, b) == weil_sum_bruteforce(field, u, a, b), (
+                p, m, u, a.index, b.index,
+            )
 
 
 def test_quad_sums():
@@ -183,14 +200,15 @@ def test_quad_sums():
         quad_sum_closed(f3, f3.zero(), f3.one())
 
 
-@pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)])
-def test_quad_closed_equals_brute(p, m):
-    field = field_create(p, m)
-    for ai in range(1, field.q):
-        a = field.from_index(ai)
-        for bi in range(field.q):
-            b = field.from_index(bi)
-            assert quad_sum_closed(field, a, b) == quad_sum_bruteforce(field, a, b)
+@pytest.mark.parametrize(
+    "p,m,modulus",
+    [pytest.param(p, m, None, id=f"{p}-{m}") for p, m in [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)]]
+    + BIG_PARAMS,
+)
+def test_quad_closed_equals_brute(p, m, modulus):
+    field = field_create(p, m, modulus)
+    for a, b in message_pairs(field):
+        assert quad_sum_closed(field, a, b) == quad_sum_bruteforce(field, a, b)
 
 
 def test_restricted_power_check():
@@ -235,6 +253,46 @@ def test_gamma_of_unsolvable_and_count():
     solvable = [b for b in f81.elements() if gamma_of(f81, 1, b) is not None]
     assert len(solvable) == 9
     assert gamma_of(f81, 1, f81.zero()) == f81.zero()
+    # m/v is 7 (odd) for 3^7 and 2 for 47^2 at u = 1: every b is solvable
+    for p, m, modulus in BIG_FIELDS:
+        field = field_create(p, m, modulus)
+        assert all(gamma_of(field, 1, b) is not None for b in field.elements())
+        assert gamma_of(field, 1, field.zero()) == field.zero()
+
+
+@pytest.mark.parametrize(
+    "p,m,u,modulus",
+    [
+        (3, 3, 1, None),  # m/v = 3, odd
+        (3, 7, 2, None),  # m/v = 7, odd
+        (3, 6, 2, None),  # m/v = 3 with v = 2, odd
+        (5, 2, 1, None),  # m/v = 2
+        (47, 2, 1, (2, 1, 1)),  # m/v = 2
+        (3, 6, 1, None),  # m/v = 6, 2 mod 4
+        (3, 4, 1, (2, 0, 0, 1, 1)),  # m/v = 4, 0 mod 4
+        (5, 4, 1, None),  # m/v = 4
+        (3, 8, 2, None),  # m/v = 4 with v = 2
+    ],
+)
+def test_gamma_of_is_solve_linear_particular_solution(p, m, u, modulus):
+    field = field_create(p, m, modulus)
+    op = linearized_operator(field, field.one(), u)
+    for b in field.elements():
+        sol = solve_linear(op, -(b.frobenius_iterate(u)))
+        assert gamma_of(field, u, b) == sol.particular, b.index
+
+
+def test_dropped_field_is_freed():
+    # per-field data (Weil dispatch, gamma table, power tables) lives with the field
+    field = field_create(3, 4, (2, 0, 0, 1, 1))
+    a, b = field.gen(), field.one()
+    weil_sum_closed(field, 1, a, b)
+    gamma_of(field, 1, b)
+    weil_sum_bruteforce(field, 1, a, b)
+    ref = weakref.ref(field)
+    del field, a, b
+    gc.collect()
+    assert ref() is None
 
 
 def test_abs_square_spectrum():

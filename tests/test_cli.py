@@ -74,6 +74,38 @@ def test_argument_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--p", "4", "--m1", "1", "--m2", "1", "--u", "1", "--lambda", "0"],
+        ["enumerate", "--p", "3", "--m1", "0", "--m2", "1", "--u", "1", "--lambda", "0"],
+        ["verify", "--p", "3", "--m1", "2", "--m2", "2", "--u", "1", "--lambda", "0",
+         "--modulus1", "1,0,2"],
+        ["verify", "--sweep", "foo=1"],
+        ["verify", "--sweep", "m1=3-1"],
+        ["griesmer", "--p", "3", "--n", "10", "--k", "0", "--d", "3"],
+    ],
+    ids=["p-composite", "m1-zero", "modulus-not-monic", "sweep-unknown-key", "sweep-empty",
+         "griesmer-k-zero"],
+)
+def test_bad_values_exit_2_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_above_former_table_limit(capsys):
+    # q1 = 3^7 = 2187 lies above the 2048-element limit the field tables once had
+    code, out, _ = run(
+        capsys, "verify", "--p", "3", "--m1", "7", "--m2", "1", "--u", "1", "--lambda", "0",
+        "--budget", "0", "--format", "json",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["match"] == {"length": True, "dimension": True, "we": True, "cwe": True}
+
+
 def test_budget_exceeded_exit_3(capsys):
     code, _, err = run(
         capsys, "enumerate", "--p", "3", "--m1", "2", "--m2", "2", "--u", "1",

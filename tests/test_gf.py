@@ -1,6 +1,7 @@
 """Field arithmetic: construction, trace, quadratic character, linearized solves."""
 
 import itertools
+import random
 
 import pytest
 
@@ -198,3 +199,33 @@ def test_permutation_criterion():
                 target = f.scalar((-1) ** (s // v))
                 expected = a ** ((p**m - 1) // (p**v + 1)) != target
             assert invertible == expected
+
+
+@pytest.mark.parametrize(
+    "p,m,modulus",
+    [(3, 1, None), (3, 2, (2, 2, 1)), (5, 3, None), (3, 7, None), (47, 2, (2, 1, 1))],
+)
+def test_array_tables_match_element_arithmetic(p, m, modulus):
+    # the digit-array tables against the polynomial path, on fields on both
+    # sides of the former 2048-element table limit
+    f = field_create(p, m, modulus)
+    rng = random.Random(f.q)
+    e = p**2 + 1
+    for _ in range(30):
+        x, y = f.from_index(rng.randrange(f.q)), f.from_index(rng.randrange(f.q))
+        conjugates = [x ** (p**k) for k in range(m)]
+        total = conjugates[0]
+        for c in conjugates[1:]:
+            total = total + c
+        assert total == f.scalar(int(f.trace_table()[x.index]))
+        assert f.frob_table()[x.index] == (x**p).index
+        assert f.power_table(2)[x.index] == (x * x).index
+        assert f.power_table(e)[x.index] == (x**e).index
+        assert f.eta_table()[x.index] == x.eta()
+        assert f.trace_of_products()[x.index, y.index] == (x * y).trace()
+        assert f.trace_forms([x.index])[0, y.index] == (x * y).trace()
+        assert tuple(f.mulmod(x.coeffs, y.coeffs)) == (x * y).coeffs
+    if f.q <= 125:
+        assert (f.mul_table() == [[(x * y).index for y in f.elements()] for x in f.elements()]).all()
+        keys = [f.coeffs_of(int(i)) for i in f.lex_order()]
+        assert keys == sorted(keys)
