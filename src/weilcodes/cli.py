@@ -101,17 +101,22 @@ def _user_input():
 def resolve_budget(args) -> int | None:
     """--budget flag beats WEILCODES_BUDGET beats the config file beats the default.
 
-    A value of 0 or below means unlimited.
+    A value of 0 or below means unlimited; a value that is not an integer
+    is an _ArgumentError.
     """
 
-    def norm(v):
+    def norm(v, source):
+        try:
+            v = int(v)
+        except ValueError:
+            raise _ArgumentError(f"{source}: budget must be an integer, got {v!r}") from None
         return None if v <= 0 else v
 
     if getattr(args, "budget", None) is not None:
-        return norm(args.budget)
+        return norm(args.budget, "--budget")
     env = os.environ.get("WEILCODES_BUDGET")
     if env is not None:
-        return norm(int(env))
+        return norm(env, "WEILCODES_BUDGET")
     path = getattr(args, "config", None)
     if path is None and os.path.exists("weilcodes.cfg"):
         path = "weilcodes.cfg"
@@ -123,7 +128,7 @@ def resolve_budget(args) -> int | None:
                     continue
                 key, _, value = line.partition("=")
                 if key.strip() == "budget":
-                    return norm(int(value.strip()))
+                    return norm(value.strip(), path)
     return DEFAULT_BUDGET
 
 

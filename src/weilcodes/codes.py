@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf import CompositeP, FFElement, FieldMismatch, FiniteField, cached_field, is_odd_prime
+from .gf import _BLOCK, CompositeP, FFElement, FieldMismatch, FiniteField, cached_field, is_odd_prime
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -156,8 +156,63 @@ def encode(ds: DefiningSet, a: FFElement, b: FFElement) -> list[int]:
     return [int(v) for v in vals]
 
 
+def _fibre_classes(ds: DefiningSet):
+    """Group the points by x, then the x's by their y-fibre.
+
+    Returns (xs, x_class, ys, y_class): every distinct x with its class label,
+    and each class's fibre (its y's, with multiplicity) with that label.  On
+    the level set Tr(x^2) + Tr(y^{p^u+1}) = lambda the fibre of x depends
+    only on Tr(x^2), so there are at most p + 1 classes there.
+    """
+    order = np.lexsort((ds.ys, ds.xs))
+    xs, ys = ds.xs[order], ds.ys[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], len(xs)]
+    classes: dict[bytes, int] = {}
+    fibres = []
+    x_class = np.empty(len(starts), dtype=np.int64)
+    for i, (lo, hi) in enumerate(zip(starts, ends)):
+        key = ys[lo:hi].tobytes()
+        if key not in classes:
+            classes[key] = len(fibres)
+            fibres.append(ys[lo:hi])
+        x_class[i] = classes[key]
+    y_class = np.repeat(np.arange(len(fibres)), [len(f) for f in fibres])
+    return xs[starts], x_class, np.concatenate(fibres), y_class
+
+
+def _class_histograms(tr: np.ndarray, members, labels, n_classes: int, p: int) -> np.ndarray:
+    """(q, n_classes * p) counts: entry [a, c p + t] is #{members z of class c : Tr(a z) = t}.
+
+    tr is the field's (q, q) Tr(xy) table; it is read in row blocks.
+    """
+    q = tr.shape[0]
+    width = n_classes * p
+    out = np.empty((q, width), dtype=np.int64)
+    cols = (labels * p)[None, :]
+    step = max(1, _BLOCK // len(members))
+    for lo in range(0, q, step):
+        blk = tr[lo : lo + step, members] + cols
+        blk += (np.arange(len(blk)) * width)[:, None]
+        out[lo : lo + step] = np.bincount(blk.ravel(), minlength=len(blk) * width).reshape(-1, width)
+    return out
+
+
 def symbol_count_table(ds: DefiningSet, budget: int | None = DEFAULT_BUDGET) -> np.ndarray:
-    """(q1, q2, p) tally: entry [a, b, r] counts coordinates of codeword (a, b) equal to r."""
+    """(q1, q2, p) tally: entry [a, b, r] counts coordinates of codeword (a, b) equal to r.
+
+    The budget counts the q1 q2 n symbol evaluations of codeword-by-codeword
+    encoding and refuses the job above it.  The tally itself is factorized
+    over the fibre classes of the defining set (x's whose y-fibres are
+    equal): with A_c[a, t] = #{x in X_c : Tr(a x) = t} and B_c[b, t] =
+    #{y in Y_c : Tr(b y) = t},
+
+        N[a, b, r] = sum_c sum_t A_c[a, t] B_c[b, r - t mod p],
+
+    formed once per distinct row of A and of B and then expanded.  It costs
+    about (#classes) q1 q2 p^2 plus the two per-field histograms, is exact
+    in integers and holds for any set of points.
+    """
     spec = ds.spec
     p = spec.p
     q1, q2 = spec.field1.q, spec.field2.q
@@ -165,19 +220,19 @@ def symbol_count_table(ds: DefiningSet, budget: int | None = DEFAULT_BUDGET) -> 
     required = q1 * q2 * max(n, 1)
     if budget is not None and required > budget:
         raise BudgetExceeded(required, budget)
-    t1 = spec.field1.trace_of_products()
-    t2 = spec.field2.trace_of_products()
     if n == 0:
         return np.zeros((q1, q2, p), dtype=np.int64)
-    m2cols = t2[:, ds.ys].astype(np.int16)  # (q2, n)
-    row_offset = (np.arange(q2, dtype=np.int64) * p)[:, None]
-    out = np.empty((q1, q2, p), dtype=np.int64)
-    for ai in range(q1):
-        v = t1[ai, ds.xs].astype(np.int16)[None, :] + m2cols
-        v[v >= p] -= p
-        flat = (row_offset + v).ravel()
-        out[ai] = np.bincount(flat, minlength=q2 * p).reshape(q2, p)
-    return out
+    xs, x_class, ys, y_class = _fibre_classes(ds)
+    n_classes = int(x_class.max()) + 1
+    hist_a = _class_histograms(spec.field1.trace_of_products(), xs, x_class, n_classes, p)
+    hist_b = _class_histograms(spec.field2.trace_of_products(), ys, y_class, n_classes, p)
+    uniq_a, inv_a = np.unique(hist_a, axis=0, return_inverse=True)
+    uniq_b, inv_b = np.unique(hist_b, axis=0, return_inverse=True)
+    uniq_a = uniq_a.reshape(len(uniq_a), n_classes, p)
+    r_minus_t = (np.arange(p)[:, None] - np.arange(p)[None, :]) % p
+    shifted_b = uniq_b.reshape(len(uniq_b), n_classes, p)[:, :, r_minus_t]  # [b, c, r, t]
+    counts = np.tensordot(uniq_a, shifted_b, axes=([1, 2], [1, 3]))  # [a, b, r]
+    return counts[inv_a.ravel()[:, None], inv_b.ravel()[None, :]]
 
 
 @dataclass
@@ -199,14 +254,21 @@ class EnumerationResult:
 def complete_weight_enumerator(
     ds: DefiningSet, budget: int | None = DEFAULT_BUDGET
 ) -> EnumerationResult:
-    """Tally the composition vector of every codeword; project to the weight enumerator."""
+    """Tally the composition vector of every codeword; project to the weight enumerator.
+
+    The compositions are the q1 q2 rows of `symbol_count_table`, grouped by
+    sorting them lexicographically and cutting where a row differs from the
+    one before; the CWE maps each composition to the size of its group.
+    """
     spec = ds.spec
     p = spec.p
     n = len(ds)
     table = symbol_count_table(ds, budget)
     rows = table.reshape(-1, p)
-    uniq, counts = np.unique(rows, axis=0, return_counts=True)
-    cwe = {tuple(int(c) for c in comp): int(k) for comp, k in zip(uniq, counts)}
+    rows = rows[np.lexsort(rows.T[::-1])]  # lexicographic, first symbol count leading
+    starts = np.flatnonzero(np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)])
+    counts = np.diff(np.r_[starts, len(rows)])
+    cwe = dict(zip(map(tuple, rows[starts].tolist()), counts.tolist()))
     we, dim = we_and_dimension(cwe, n, spec.K, p)
     if dim is None:
         raise AssertionError("zero-codeword count is not a power of p")

@@ -182,7 +182,10 @@ def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
 # fields and elements
 # ---------------------------------------------------------------------------
 
-_BLOCK = 1 << 20  # entries per transient block while building a (q, q) table
+# entries per transient block of a table built in row blocks: an int64 block
+# stays under 128 KB, in cache and below malloc's default mmap threshold, so
+# the blocks of one build, and of the next, reuse memory already mapped
+_BLOCK = 1 << 14
 
 
 class FiniteField:

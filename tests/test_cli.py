@@ -139,6 +139,29 @@ def test_budget_config_file(capsys, tmp_path, monkeypatch):
     assert code == 3
 
 
+def test_budget_env_var_not_an_integer_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("WEILCODES_BUDGET", "abc")
+    code, out, err = run(
+        capsys, "enumerate", "--p", "3", "--m1", "1", "--m2", "1", "--u", "1", "--lambda", "0",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "WEILCODES_BUDGET" in err
+
+
+def test_budget_config_file_not_an_integer_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "weilcodes.cfg"
+    cfg.write_text("budget = abc\n")
+    code, out, err = run(
+        capsys, "enumerate", "--p", "3", "--m1", "1", "--m2", "1", "--u", "1",
+        "--lambda", "0", "--config", str(cfg),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_tables_12_and_13_text(capsys):
     code, out, _ = run(capsys, "tables", "--which", "12")
     assert code == 0
@@ -187,6 +210,13 @@ def test_small_sweep(capsys):
     code, out, _ = run(capsys, "verify", "--sweep", "p=3;m1=1-2;m2=1-2;u=1;lambda=all", "--budget", "0")
     assert code == 0
     assert "all match" in out
+
+
+def test_sweep_p7_verifies(capsys):
+    # beyond the default sweep's p in {3, 5}: 168 specs at p = 7
+    code, out, _ = run(capsys, "verify", "--sweep", "p=7;m1=1-2;m2=1-2;u=1-3", "--budget", "0")
+    assert code == 0
+    assert out.splitlines()[-1] == "168 specs verified: all match"
 
 
 def test_default_sweep_is_the_acceptance_sweep_and_verifies(capsys):

@@ -1,5 +1,7 @@
 """Defining sets, encoding, and exhaustive enumeration against frozen oracles."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -206,17 +208,76 @@ def test_symbol_count_table_matches_encode():
             assert list(table[ai, bi]) == want
 
 
+def _flipped_representative_set():
+    """The punctured (3, 2, 2, 1, 0) set with its first representative scaled by 2."""
+    spec = CodeSpec(3, 2, 2, 1, 0, punctured=True)
+    ds = build_defining_set(spec)
+    xs, ys = ds.xs.copy(), ds.ys.copy()
+    xs[0] = spec.field1.mul_i(2, int(xs[0]))
+    ys[0] = spec.field2.mul_i(2, int(ys[0]))
+    return DefiningSet(spec, xs, ys)
+
+
+def _random_subset():
+    """A seeded half of D_0 for (5, 1, 2, 1): x's with equal Tr(x^2) keep different fibres."""
+    spec = CodeSpec(5, 1, 2, 1, 0)
+    ds = build_defining_set(spec)
+    keep = np.random.default_rng(20240).random(len(ds)) < 0.5
+    sub = DefiningSet(spec, ds.xs[keep], ds.ys[keep])
+    f1 = spec.field1
+    level = f1.trace_table()[f1.power_table(2)]
+    fibres = {}
+    for x, y in zip(sub.xs.tolist(), sub.ys.tolist()):
+        fibres.setdefault(x, set()).add(y)
+    by_level = {}
+    for x, fibre in fibres.items():
+        by_level.setdefault(int(level[x]), set()).add(frozenset(fibre))
+    assert any(len(distinct) > 1 for distinct in by_level.values())
+    return sub
+
+
+def _hand_made_set(kind):
+    spec = CodeSpec(3, 2, 2, 1, 0)
+    ds = build_defining_set(spec)
+    if kind == "empty":
+        return DefiningSet(spec, ds.xs[:0], ds.ys[:0])
+    if kind == "single-point":
+        return DefiningSet(spec, ds.xs[3:4], ds.ys[3:4])
+    if kind == "flipped-representative":
+        return _flipped_representative_set()
+    if kind == "random-subset":
+        return _random_subset()
+    if kind == "p7-custom-moduli":
+        return build_defining_set(CodeSpec(7, 1, 2, 1, 3, mod1=(3, 1), mod2=(2, 5, 1)))
+    raise ValueError(kind)
+
+
+@pytest.mark.parametrize(
+    "kind", ["empty", "single-point", "flipped-representative", "random-subset", "p7-custom-moduli"]
+)
+def test_factorized_tally_matches_encode_rows(kind):
+    # sets without the level-set structure: the fibre classes are arbitrary
+    ds = _hand_made_set(kind)
+    f1, f2 = ds.spec.field1, ds.spec.field2
+    p = ds.spec.p
+    want = np.zeros((f1.q, f2.q, p), dtype=np.int64)
+    for ai in range(f1.q):
+        for bi in range(f2.q):
+            word = encode(ds, f1.from_index(ai), f2.from_index(bi))
+            want[ai, bi] = np.bincount(word, minlength=p)
+    table = symbol_count_table(ds)
+    assert table.dtype == np.int64
+    assert np.array_equal(table, want)
+    res = complete_weight_enumerator(ds)
+    assert res.cwe == Counter(tuple(int(c) for c in row) for row in want.reshape(-1, p))
+
+
 def test_punctured_we_is_transversal_invariant_but_cwe_is_not():
     # the adjudicated fact behind reporting no closed-form punctured CWE:
     # flipping one orbit representative preserves the weight enumerator and
     # changes the complete weight enumerator
-    spec = CodeSpec(3, 2, 2, 1, 0, punctured=True)
-    ds = build_defining_set(spec)
-    res = complete_weight_enumerator(ds)
-    xs, ys = ds.xs.copy(), ds.ys.copy()
-    xs[0] = spec.field1.mul_i(2, int(xs[0]))
-    ys[0] = spec.field2.mul_i(2, int(ys[0]))
-    flipped = complete_weight_enumerator(DefiningSet(spec, xs, ys))
+    res = complete_weight_enumerator(build_defining_set(CodeSpec(3, 2, 2, 1, 0, punctured=True)))
+    flipped = complete_weight_enumerator(_flipped_representative_set())
     assert flipped.we == res.we == {0: 1, 6: 60, 9: 20}
     assert flipped.cwe != res.cwe
 
