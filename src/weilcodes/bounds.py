@@ -39,11 +39,16 @@ def classify(p: int, n: int, k: int, d: int) -> GriesmerReport:
     caller can apply a stricter notion.
     """
     g_of_d = griesmer(p, k, d)
-    max_d = 0
-    dd = 1
-    while griesmer(p, k, dd) <= n:
-        max_d = dd
-        dd += 1
+    # g(k, d) is nondecreasing in d and at least d, so the largest d with
+    # g(k, d) <= n lies in [0, n]: bisect with lo feasible, hi not
+    lo, hi = 0, n + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if griesmer(p, k, mid) <= n:
+            lo = mid
+        else:
+            hi = mid
+    max_d = lo
     if max_d == d:
         label = "optimal"
     elif max_d == d + 1:

@@ -19,7 +19,9 @@ from .codes import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     CodeSpec,
+    DefiningSet,
     build_defining_set,
+    check_budget,
     complete_weight_enumerator,
     dump_lines,
 )
@@ -193,10 +195,23 @@ def parse_sweep(text: str) -> list[CodeSpec]:
     return specs
 
 
+def _scan(spec: CodeSpec, budget) -> DefiningSet:
+    """The defining set of spec, unless its q1 q2 messages alone exceed the budget.
+
+    Every message costs at least one symbol evaluation, so this refuses only
+    jobs that the q1 q2 n check of the enumeration refuses too, but before
+    the q1 x q2 membership mask and the point list are built.
+    """
+    messages = spec.field1.q * spec.field2.q
+    if budget is not None and messages > budget:
+        raise BudgetExceeded(messages, budget, at_least=True)
+    return build_defining_set(spec)
+
+
 def run_report(spec: CodeSpec, budget) -> tuple[dict, bool]:
     """Measure, predict, compare; returns (report, all-facets-match)."""
     t0 = time.monotonic()
-    ds = build_defining_set(spec)
+    ds = _scan(spec, budget)
     res = complete_weight_enumerator(ds, budget)
     pred = predict_cwe(spec)
     match = {
@@ -239,8 +254,64 @@ def run_report(spec: CodeSpec, budget) -> tuple[dict, bool]:
     return report, ok
 
 
+def json_text(obj, indent: str = "") -> str:
+    """obj written as `json.dumps(obj, indent=2)` writes it, byte for byte.
+
+    `indent` is the indentation of the line the value starts on.  Lists of
+    ints and [composition, frequency] pairs, the bulk of every report, are
+    joined in one step each; every other scalar goes to `json.dumps`, so
+    `True` stays `true` (`type(x) is int` excludes bools).  Keys must be
+    strings.  `json.dumps` with any indent runs its pure-Python encoder,
+    about three times slower than this on the reports.
+    """
+    t = type(obj)
+    if t is int:
+        return str(obj)
+    inner = indent + "  "
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        sep = ",\n" + inner
+        if _ONLY_INT.issuperset(map(type, obj)):
+            body = sep.join(map(str, obj))
+        elif all(_is_pair(x) for x in obj):
+            deeper = inner + "  "
+            comp_sep = ",\n" + deeper + "  "
+            body = sep.join(
+                f"[\n{deeper}[\n{deeper}  {comp_sep.join(map(str, c))}\n{deeper}],\n{deeper}{k}\n{inner}]"
+                for c, k in obj
+            )
+        else:
+            body = sep.join([json_text(x, inner) for x in obj])
+        return f"[\n{inner}{body}\n{indent}]"
+    if t is dict:
+        if not obj:
+            return "{}"
+        for key in obj:
+            if type(key) is not str:
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+        body = (",\n" + inner).join([f"{json.dumps(k)}: {json_text(v, inner)}" for k, v in obj.items()])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    return json.dumps(obj)
+
+
+_ONLY_INT = frozenset((int,))
+
+
+def _is_pair(x) -> bool:
+    """x is [composition, frequency]: a non-empty list of ints and an int."""
+    return (
+        type(x) is list
+        and len(x) == 2
+        and type(x[0]) is list
+        and type(x[1]) is int
+        and bool(x[0])
+        and _ONLY_INT.issuperset(map(type, x[0]))
+    )
+
+
 def _emit(obj):
-    print(json.dumps(obj, indent=2))
+    print(json_text(obj))
 
 
 def _spec_line(spec: CodeSpec) -> str:
@@ -251,7 +322,10 @@ def _spec_line(spec: CodeSpec) -> str:
 def cmd_construct(args) -> int:
     with _user_input():
         spec = spec_from_args(args)
-    ds = build_defining_set(spec)
+    budget = resolve_budget(args)
+    ds = _scan(spec, budget)
+    if args.dump and args.format == "text":
+        check_budget(ds, budget)  # the dump encodes every codeword
     key = case_of(spec)
     if args.format == "json":
         obj = {
@@ -276,8 +350,8 @@ def cmd_construct(args) -> int:
 def cmd_enumerate(args) -> int:
     with _user_input():
         spec = spec_from_args(args)
-    ds = build_defining_set(spec)
-    res = complete_weight_enumerator(ds, resolve_budget(args))
+    budget = resolve_budget(args)
+    res = complete_weight_enumerator(_scan(spec, budget), budget)
     if args.format == "json":
         _emit(
             {
@@ -367,8 +441,7 @@ def cmd_tables(args) -> int:
     all_ok = True
     for lam, m1, m2, u in _TABLE_ROWS[base]:
         spec = CodeSpec(3, m1, m2, u, lam, punctured)
-        ds = build_defining_set(spec)
-        res = complete_weight_enumerator(ds, budget)
+        res = complete_weight_enumerator(_scan(spec, budget), budget)
         pred = predict_cwe(spec)
         ok = res.we == pred.we and res.length == pred.length and res.dimension == pred.dimension
         all_ok &= ok

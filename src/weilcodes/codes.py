@@ -24,8 +24,9 @@ _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 class BudgetExceeded(Exception):
     """Enumeration would exceed the symbol-evaluation budget."""
 
-    def __init__(self, required, budget):
-        super().__init__(f"enumeration needs {required} symbol evaluations, budget is {budget}")
+    def __init__(self, required, budget, at_least=False):
+        needs = f"at least {required}" if at_least else required
+        super().__init__(f"enumeration needs {needs} symbol evaluations, budget is {budget}")
         self.required = required
         self.budget = budget
 
@@ -198,52 +199,97 @@ def _class_histograms(tr: np.ndarray, members, labels, n_classes: int, p: int) -
     return out
 
 
-def symbol_count_table(ds: DefiningSet, budget: int | None = DEFAULT_BUDGET) -> np.ndarray:
-    """(q1, q2, p) tally: entry [a, b, r] counts coordinates of codeword (a, b) equal to r.
+def _group_rows(rows: np.ndarray):
+    """(uniq, inv): the distinct rows of a 2-d array in lexicographic order, and each row's group.
 
-    The budget counts the q1 q2 n symbol evaluations of codeword-by-codeword
-    encoding and refuses the job above it.  The tally itself is factorized
-    over the fibre classes of the defining set (x's whose y-fibres are
-    equal): with A_c[a, t] = #{x in X_c : Tr(a x) = t} and B_c[b, t] =
-    #{y in Y_c : Tr(b y) = t},
+    The same as `np.unique(rows, axis=0, return_inverse=True)` with the
+    inverse raveled: one lexsort, then a cut wherever a sorted row differs
+    from the one before it.
+    """
+    order = np.lexsort(rows.T[::-1])  # first column leading
+    srt = rows[order]
+    cut = np.empty(len(rows), dtype=bool)
+    cut[:1] = True
+    cut[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+    inv = np.empty(len(rows), dtype=np.int64)
+    inv[order] = np.cumsum(cut) - 1
+    return srt[cut], inv
+
+
+def check_budget(ds: DefiningSet, budget: int | None) -> None:
+    """Refuse (BudgetExceeded) a job of q1 q2 n symbol evaluations above the budget; None is unlimited."""
+    spec = ds.spec
+    required = spec.field1.q * spec.field2.q * max(len(ds), 1)
+    if budget is not None and required > budget:
+        raise BudgetExceeded(required, budget)
+
+
+def _class_tally(ds: DefiningSet):
+    """(counts, inv_a, inv_b): the tally on distinct histogram rows, and each message's row.
+
+    counts[i, j, r] is the number of coordinates equal to r in the codeword
+    of any (a, b) with inv_a[a] = i and inv_b[b] = j.  With A_c[a, t] =
+    #{x in X_c : Tr(a x) = t} and B_c[b, t] = #{y in Y_c : Tr(b y) = t}
+    over the fibre classes c of the defining set (x's whose y-fibres are
+    equal),
 
         N[a, b, r] = sum_c sum_t A_c[a, t] B_c[b, r - t mod p],
 
-    formed once per distinct row of A and of B and then expanded.  It costs
-    about (#classes) q1 q2 p^2 plus the two per-field histograms, is exact
-    in integers and holds for any set of points.
+    formed once per distinct row of A and of B.  It costs about (#classes)
+    |uA| |uB| p^2 plus the two per-field histograms, is exact in integers
+    and holds for any set of points.
     """
     spec = ds.spec
     p = spec.p
     q1, q2 = spec.field1.q, spec.field2.q
-    n = len(ds)
-    required = q1 * q2 * max(n, 1)
-    if budget is not None and required > budget:
-        raise BudgetExceeded(required, budget)
-    if n == 0:
-        return np.zeros((q1, q2, p), dtype=np.int64)
+    if len(ds) == 0:  # one all-zero row, shared by every message
+        return np.zeros((1, 1, p), dtype=np.int64), np.zeros(q1, dtype=np.int64), np.zeros(q2, dtype=np.int64)
     xs, x_class, ys, y_class = _fibre_classes(ds)
     n_classes = int(x_class.max()) + 1
     hist_a = _class_histograms(spec.field1.trace_of_products(), xs, x_class, n_classes, p)
     hist_b = _class_histograms(spec.field2.trace_of_products(), ys, y_class, n_classes, p)
-    uniq_a, inv_a = np.unique(hist_a, axis=0, return_inverse=True)
-    uniq_b, inv_b = np.unique(hist_b, axis=0, return_inverse=True)
+    uniq_a, inv_a = _group_rows(hist_a)
+    uniq_b, inv_b = _group_rows(hist_b)
     uniq_a = uniq_a.reshape(len(uniq_a), n_classes, p)
     r_minus_t = (np.arange(p)[:, None] - np.arange(p)[None, :]) % p
     shifted_b = uniq_b.reshape(len(uniq_b), n_classes, p)[:, :, r_minus_t]  # [b, c, r, t]
     counts = np.tensordot(uniq_a, shifted_b, axes=([1, 2], [1, 3]))  # [a, b, r]
-    return counts[inv_a.ravel()[:, None], inv_b.ravel()[None, :]]
+    return counts, inv_a, inv_b
+
+
+def symbol_count_table(ds: DefiningSet, budget: int | None = DEFAULT_BUDGET) -> np.ndarray:
+    """(q1, q2, p) tally: entry [a, b, r] counts coordinates of codeword (a, b) equal to r.
+
+    The budget counts the q1 q2 n symbol evaluations of codeword-by-codeword
+    encoding and refuses the job above it.  The tally is `_class_tally`,
+    expanded to every message pair.
+    """
+    check_budget(ds, budget)
+    return _expand(*_class_tally(ds))
+
+
+def _expand(counts: np.ndarray, inv_a: np.ndarray, inv_b: np.ndarray) -> np.ndarray:
+    """The (q1, q2, p) table of a class tally: entry [a, b] is counts[inv_a[a], inv_b[b]]."""
+    return counts[inv_a[:, None], inv_b[None, :]]
 
 
 @dataclass
 class EnumerationResult:
-    """Everything the exhaustive sweep of all p^K messages yields."""
+    """Everything the exhaustive sweep of all p^K messages yields.
+
+    `table` is the (q1, q2, p) tally of `symbol_count_table`, expanded from
+    the class tally the first time it is read.
+    """
 
     length: int
     dimension: int
     cwe: dict[tuple[int, ...], int]
     we: dict[int, int]
-    table: np.ndarray = field(repr=False)
+    _tally: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        return _expand(*self._tally)
 
     @property
     def min_distance(self) -> int:
@@ -256,23 +302,27 @@ def complete_weight_enumerator(
 ) -> EnumerationResult:
     """Tally the composition vector of every codeword; project to the weight enumerator.
 
-    The compositions are the q1 q2 rows of `symbol_count_table`, grouped by
-    sorting them lexicographically and cutting where a row differs from the
-    one before; the CWE maps each composition to the size of its group.
+    The compositions are the rows of the class tally: row (i, j) stands for
+    the #{a : inv_a[a] = i} #{b : inv_b[b] = j} message pairs that share
+    it.  Equal rows are grouped and their weights summed in int64; the CWE
+    maps each composition, in lexicographic order, to its number of
+    codewords.
     """
+    check_budget(ds, budget)
     spec = ds.spec
     p = spec.p
     n = len(ds)
-    table = symbol_count_table(ds, budget)
-    rows = table.reshape(-1, p)
-    rows = rows[np.lexsort(rows.T[::-1])]  # lexicographic, first symbol count leading
-    starts = np.flatnonzero(np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)])
-    counts = np.diff(np.r_[starts, len(rows)])
-    cwe = dict(zip(map(tuple, rows[starts].tolist()), counts.tolist()))
+    counts, inv_a, inv_b = _class_tally(ds)
+    comps, group = _group_rows(counts.reshape(-1, p))
+    weight = np.outer(np.bincount(inv_a, minlength=counts.shape[0]),
+                      np.bincount(inv_b, minlength=counts.shape[1]))
+    freq = np.zeros(len(comps), dtype=np.int64)
+    np.add.at(freq, group, weight.ravel())
+    cwe = dict(zip(map(tuple, comps.tolist()), freq.tolist()))
     we, dim = we_and_dimension(cwe, n, spec.K, p)
     if dim is None:
         raise AssertionError("zero-codeword count is not a power of p")
-    return EnumerationResult(length=n, dimension=dim, cwe=cwe, we=we, table=table)
+    return EnumerationResult(length=n, dimension=dim, cwe=cwe, we=we, _tally=(counts, inv_a, inv_b))
 
 
 def verify_dimension(ds: DefiningSet, budget: int | None = DEFAULT_BUDGET) -> int:

@@ -54,3 +54,23 @@ def test_pless_check():
     assert pless_check({0: 1, 12: 60, 18: 20}, 20, 4, 3)
     assert pless_check({0: 1}, 0, 0, 3)  # empty zero-dimensional code
     assert not pless_check({0: 1, 12: 61, 18: 20}, 20, 4, 3)
+
+
+def _max_d_linear(p, n, k):
+    """The largest d with g(k, d) <= n, by the plain scan d = 1, 2, ..."""
+    max_d, d = 0, 1
+    while griesmer(p, k, d) <= n:
+        max_d, d = d, d + 1
+    return max_d
+
+
+def test_classify_bisection_matches_linear_scan():
+    for p in (3, 5, 7):
+        for k in range(1, 6):
+            for n in range(-1, 90):
+                want = _max_d_linear(p, n, k)
+                for d in (1, 2, max(1, want), want + 1, want + 2):
+                    rep = classify(p, n, k, d)
+                    assert rep.max_d_allowed == want, (p, n, k, d)
+                    label = {want: "optimal", want - 1: "almost-optimal"}.get(d, "neither")
+                    assert rep.classification == label, (p, n, k, d)

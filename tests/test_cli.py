@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from weilcodes.cli import fmt_we, main, parse_sweep
+from weilcodes import cli
+from weilcodes.cli import fmt_we, json_text, main, parse_sweep
 
 
 def run(capsys, *argv):
@@ -113,6 +114,35 @@ def test_budget_exceeded_exit_3(capsys):
     )
     assert code == 3
     assert "budget" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "enumerate", "construct"])
+def test_budget_refuses_before_the_scan(capsys, monkeypatch, command):
+    # q1 q2 = 3^13 messages exceed the budget on their own: refused before
+    # the 530 k-point defining set is built
+    def no_scan(spec):
+        raise AssertionError("defining set built before the budget check")
+
+    monkeypatch.setattr(cli, "build_defining_set", no_scan)
+    code, out, err = run(
+        capsys, command, "--p", "3", "--m1", "7", "--m2", "6", "--u", "1", "--lambda", "0",
+        "--budget", "5",
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: enumeration needs at least 1594323 symbol evaluations, budget is 5\n"
+
+
+def test_construct_dump_checks_the_full_budget(capsys):
+    # the dump encodes all 81 codewords of length 20: 1620 symbol evaluations
+    base = ["construct", "--p", "3", "--m1", "2", "--m2", "2", "--u", "1", "--lambda", "0", "--dump"]
+    code, out, err = run(capsys, *base, "--budget", "1619")
+    assert code == 3
+    assert out == ""
+    assert "1620" in err
+    code, out, _ = run(capsys, *base, "--budget", "1620")
+    assert code == 0
+    assert len([l for l in out.splitlines() if l.startswith("a=")]) == 81
 
 
 def test_budget_env_var(capsys, monkeypatch):
@@ -229,6 +259,28 @@ def test_default_sweep_is_the_acceptance_sweep_and_verifies(capsys):
     assert len(reports) == len(sweep_specs())
     for rep in reports:
         assert all(v for v in rep["match"].values() if v is not None)
+    assert out == json.dumps(reports, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [],
+        {},
+        None,
+        [1, True, 0, False],
+        [[[2, 1, 0], True], [[0, 3, 0], 1]],
+        [[[True, 0], 1]],
+        [[[], 1]],
+        {"say \"hi\"": "back\\slash \"quoted\"", "n": "déjà vu ζ_p ✓"},
+        {"points": [[[0, 1], [2, 0]], [[1, 1], [0, 2]]], "empty": {}, "none": [None]},
+        [[1, 2], 3, [[4], 5], (6, 7)],
+    ],
+    ids=["empty-list", "empty-dict", "none", "bools-in-ints", "bool-frequency",
+         "bool-in-composition", "empty-composition", "strings", "nested-points", "mixed"],
+)
+def test_json_text_equals_json_dumps_indent_2(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2)
 
 
 def test_parse_sweep_defaults_cap():

@@ -9,6 +9,7 @@ from weilcodes.codes import (
     BudgetExceeded,
     CodeSpec,
     DefiningSet,
+    _group_rows,
     build_defining_set,
     complete_weight_enumerator,
     dump_lines,
@@ -268,8 +269,25 @@ def test_factorized_tally_matches_encode_rows(kind):
     table = symbol_count_table(ds)
     assert table.dtype == np.int64
     assert np.array_equal(table, want)
+    # the CWE weighs each class pair by its number of messages instead of
+    # reading the table; the table itself is expanded only when read
     res = complete_weight_enumerator(ds)
-    assert res.cwe == Counter(tuple(int(c) for c in row) for row in want.reshape(-1, p))
+    cwe = Counter(tuple(int(c) for c in row) for row in table.reshape(-1, p))
+    assert res.cwe == cwe
+    assert list(res.cwe) == sorted(cwe)
+    assert all(type(k) is int for k in res.cwe.values())
+    assert res.table.dtype == np.int64
+    assert np.array_equal(res.table, table)
+
+
+def test_group_rows_is_unique_axis0():
+    rng = np.random.default_rng(7)
+    for shape, hi in [((50, 4), 3), ((200, 9), 2), ((1, 3), 5), ((0, 3), 2), ((30, 1), 4)]:
+        rows = rng.integers(0, hi, size=shape)
+        uniq, inv = _group_rows(rows)
+        want_uniq, want_inv = np.unique(rows, axis=0, return_inverse=True)
+        assert np.array_equal(uniq, want_uniq)
+        assert np.array_equal(inv, want_inv.ravel())
 
 
 def test_punctured_we_is_transversal_invariant_but_cwe_is_not():
