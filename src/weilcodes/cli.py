@@ -199,8 +199,9 @@ def _scan(spec: CodeSpec, budget) -> DefiningSet:
     """The defining set of spec, unless its q1 q2 messages alone exceed the budget.
 
     Every message costs at least one symbol evaluation, so this refuses only
-    jobs that the q1 q2 n check of the enumeration refuses too, but before
-    the q1 x q2 membership mask and the point list are built.
+    jobs that the q1 q2 n check of the enumeration refuses too.  The scan
+    itself costs q1 + q2, but `construct` then materializes all n points,
+    which this check bounds before they exist.
     """
     messages = spec.field1.q * spec.field2.q
     if budget is not None and messages > budget:

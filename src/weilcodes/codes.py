@@ -87,20 +87,39 @@ class CodeSpec:
 
 
 class DefiningSet:
-    """The realized coordinate set: ordered (x, y) pairs satisfying the trace condition.
+    """The realized coordinate set, held as disjoint product blocks of field indices.
 
-    Points are kept as index arrays into the two fields, ordered
-    lexicographically on (x-coefficients, y-coefficients) so codeword
-    coordinates are reproducible run to run.
+    `blocks` lists pairs (xs_c, ys_c) of index arrays into the two fields;
+    the set is the union of the products X_c x Y_c.  `xs`, `ys` and `points`
+    are materialized on first read, ordered lexicographically on
+    (x-coefficients, y-coefficients) so codeword coordinates are
+    reproducible run to run.
     """
 
-    def __init__(self, spec: CodeSpec, xs: np.ndarray, ys: np.ndarray):
+    def __init__(self, spec: CodeSpec, blocks):
         self.spec = spec
-        self.xs = xs
-        self.ys = ys
+        self.blocks = [(xs, ys) for xs, ys in blocks if len(xs) and len(ys)]
 
     def __len__(self):
-        return len(self.xs)
+        return sum(len(xs) * len(ys) for xs, ys in self.blocks)
+
+    @cached_property
+    def _lex(self) -> tuple[np.ndarray, np.ndarray]:
+        f1, f2 = self.spec.field1, self.spec.field2
+        empty = [np.zeros(0, dtype=np.int64)]
+        xs = np.concatenate(empty + [np.repeat(bx, len(by)) for bx, by in self.blocks])
+        ys = np.concatenate(empty + [np.tile(by, len(bx)) for bx, by in self.blocks])
+        rank1, rank2 = f1.lex_rank(f1.digits()), f2.lex_rank(f2.digits())
+        order = np.argsort(rank1[xs] * f2.q + rank2[ys])
+        return xs[order], ys[order]
+
+    @property
+    def xs(self) -> np.ndarray:
+        return self._lex[0]
+
+    @property
+    def ys(self) -> np.ndarray:
+        return self._lex[1]
 
     @cached_property
     def points(self) -> list[tuple[FFElement, FFElement]]:
@@ -108,42 +127,38 @@ class DefiningSet:
         return [(f1.from_index(int(x)), f2.from_index(int(y))) for x, y in zip(self.xs, self.ys)]
 
 
-def _membership_mask(spec: CodeSpec) -> np.ndarray:
-    """(q1, q2) boolean mask of Tr(x^2) + Tr(y^{p^u+1}) == lambda, origin excluded."""
-    f1, f2 = spec.field1, spec.field2
-    tx = f1.trace_table()[f1.power_table(2)].astype(np.int64)
-    ty = f2.trace_table()[f2.power_table(spec.p**spec.u + 1)].astype(np.int64)
-    mask = (tx[:, None] + ty[None, :]) % spec.p == spec.lam
-    mask[0, 0] = False
-    return mask
+def _orbit_least(f: FiniteField, scalars) -> np.ndarray:
+    """Per index: the element is lex-smaller than each of its multiples c x, c in scalars."""
+    d = f.digits().astype(np.int64)
+    own = f.lex_rank(d)
+    return np.all([f.lex_rank(c * d % f.p) > own for c in scalars], axis=0)
 
 
 def build_defining_set(spec: CodeSpec) -> DefiningSet:
-    """Exhaustive scan of the p^K - 1 candidate points, then orbit reduction if punctured."""
+    """Scan the q1 + q2 level values; the set is the union of its level-product blocks.
+
+    With X_t = {x : Tr(x^2) = t} and Y_s = {y : Tr(y^{p^u+1}) = s}, the
+    blocks are (X_t minus 0, Y_{lambda - t}) for each t, plus
+    (0, Y_lambda minus 0).  Punctured, the set keeps one point per scaling
+    orbit {c (x, y)}, the lex-smallest: the order is x-major and c x != x
+    for x != 0, so off x = 0 the choice depends on x alone, and on x = 0 on
+    y alone.  Each block is filtered before any point exists.
+    """
     f1, f2 = spec.field1, spec.field2
-    mask = _membership_mask(spec)
-    lex1, lex2 = f1.lex_order(), f2.lex_order()
-    hits = np.argwhere(mask[np.ix_(lex1, lex2)])
-    xs = lex1[hits[:, 0]]
-    ys = lex2[hits[:, 1]]
-    if not spec.punctured:
-        return DefiningSet(spec, xs, ys)
-    # one representative per scaling orbit {c (x, y)}: the lex-smallest point,
-    # which is the one the lex-ordered scan meets first.  c (x, y) scales the
-    # digit rows by c mod p.
-    p = spec.p
-    if spec.lam == 0:
-        scalars = range(2, p)
+    p, lam = spec.p, spec.lam
+    level_x = f1.trace_table()[f1.power_table(2)]
+    level_y = f2.trace_table()[f2.power_table(p**spec.u + 1)]
+    if spec.punctured:
+        # c (x, y) must keep the level set: every c != 0 for lambda = 0, else only -1
+        scalars = range(2, p) if lam == 0 else (p - 1,)
+        keep_x, keep_y = _orbit_least(f1, scalars), _orbit_least(f2, scalars)
     else:
-        scalars = (p - 1,)  # -1: only sign flips preserve the level set
-    dx, dy = f1.digits()[xs].astype(np.int64), f2.digits()[ys].astype(np.int64)
-
-    def rank(c):
-        return f1.lex_rank(c * dx % p) * f2.q + f2.lex_rank(c * dy % p)
-
-    own = rank(1)
-    keep = np.all([rank(c) > own for c in scalars], axis=0)
-    return DefiningSet(spec, xs[keep], ys[keep])
+        keep_x, keep_y = np.ones(f1.q, dtype=bool), np.ones(f2.q, dtype=bool)
+    keep_x[0] = keep_y[0] = False  # x = 0 has a block of its own, where y = 0 is the origin
+    ys_of = [np.flatnonzero(level_y == s) for s in range(p)]
+    blocks = [(np.flatnonzero((level_x == t) & keep_x), ys_of[(lam - t) % p]) for t in range(p)]
+    blocks.append((np.zeros(1, dtype=np.int64), ys_of[lam][keep_y[ys_of[lam]]]))
+    return DefiningSet(spec, blocks)
 
 
 def encode(ds: DefiningSet, a: FFElement, b: FFElement) -> list[int]:
@@ -151,35 +166,9 @@ def encode(ds: DefiningSet, a: FFElement, b: FFElement) -> list[int]:
     spec = ds.spec
     if a.field != spec.field1 or b.field != spec.field2:
         raise FieldMismatch("message components must lie in F_{p^m1} x F_{p^m2}")
-    t1 = spec.field1.trace_of_products()
-    t2 = spec.field2.trace_of_products()
-    vals = (t1[a.index, ds.xs].astype(np.int64) + t2[b.index, ds.ys]) % spec.p
-    return [int(v) for v in vals]
-
-
-def _fibre_classes(ds: DefiningSet):
-    """Group the points by x, then the x's by their y-fibre.
-
-    Returns (xs, x_class, ys, y_class): every distinct x with its class label,
-    and each class's fibre (its y's, with multiplicity) with that label.  On
-    the level set Tr(x^2) + Tr(y^{p^u+1}) = lambda the fibre of x depends
-    only on Tr(x^2), so there are at most p + 1 classes there.
-    """
-    order = np.lexsort((ds.ys, ds.xs))
-    xs, ys = ds.xs[order], ds.ys[order]
-    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
-    ends = np.r_[starts[1:], len(xs)]
-    classes: dict[bytes, int] = {}
-    fibres = []
-    x_class = np.empty(len(starts), dtype=np.int64)
-    for i, (lo, hi) in enumerate(zip(starts, ends)):
-        key = ys[lo:hi].tobytes()
-        if key not in classes:
-            classes[key] = len(fibres)
-            fibres.append(ys[lo:hi])
-        x_class[i] = classes[key]
-    y_class = np.repeat(np.arange(len(fibres)), [len(f) for f in fibres])
-    return xs[starts], x_class, np.concatenate(fibres), y_class
+    ta = spec.field1.trace_forms([a.index])[0]
+    tb = spec.field2.trace_forms([b.index])[0]
+    return ((ta[ds.xs] + tb[ds.ys]) % spec.p).tolist()
 
 
 def _class_histograms(tr: np.ndarray, members, labels, n_classes: int, p: int) -> np.ndarray:
@@ -228,24 +217,27 @@ def _class_tally(ds: DefiningSet):
     """(counts, inv_a, inv_b): the tally on distinct histogram rows, and each message's row.
 
     counts[i, j, r] is the number of coordinates equal to r in the codeword
-    of any (a, b) with inv_a[a] = i and inv_b[b] = j.  With A_c[a, t] =
-    #{x in X_c : Tr(a x) = t} and B_c[b, t] = #{y in Y_c : Tr(b y) = t}
-    over the fibre classes c of the defining set (x's whose y-fibres are
-    equal),
+    of any (a, b) with inv_a[a] = i and inv_b[b] = j.  The classes are the
+    product blocks X_c x Y_c of the defining set (at most p + 1 level blocks
+    on D_lambda).  With A_c[a, t] = #{x in X_c : Tr(a x) = t} and
+    B_c[b, t] = #{y in Y_c : Tr(b y) = t},
 
         N[a, b, r] = sum_c sum_t A_c[a, t] B_c[b, r - t mod p],
 
     formed once per distinct row of A and of B.  It costs about (#classes)
     |uA| |uB| p^2 plus the two per-field histograms, is exact in integers
-    and holds for any set of points.
+    and holds for any disjoint blocks.
     """
     spec = ds.spec
     p = spec.p
     q1, q2 = spec.field1.q, spec.field2.q
     if len(ds) == 0:  # one all-zero row, shared by every message
         return np.zeros((1, 1, p), dtype=np.int64), np.zeros(q1, dtype=np.int64), np.zeros(q2, dtype=np.int64)
-    xs, x_class, ys, y_class = _fibre_classes(ds)
-    n_classes = int(x_class.max()) + 1
+    n_classes = len(ds.blocks)
+    xs = np.concatenate([bx for bx, _ in ds.blocks])
+    ys = np.concatenate([by for _, by in ds.blocks])
+    x_class = np.repeat(np.arange(n_classes), [len(bx) for bx, _ in ds.blocks])
+    y_class = np.repeat(np.arange(n_classes), [len(by) for _, by in ds.blocks])
     hist_a = _class_histograms(spec.field1.trace_of_products(), xs, x_class, n_classes, p)
     hist_b = _class_histograms(spec.field2.trace_of_products(), ys, y_class, n_classes, p)
     uniq_a, inv_a = _group_rows(hist_a)
@@ -323,11 +315,6 @@ def complete_weight_enumerator(
     if dim is None:
         raise AssertionError("zero-codeword count is not a power of p")
     return EnumerationResult(length=n, dimension=dim, cwe=cwe, we=we, _tally=(counts, inv_a, inv_b))
-
-
-def verify_dimension(ds: DefiningSet, budget: int | None = DEFAULT_BUDGET) -> int:
-    """log_p of the number of distinct codewords (equals K iff encoding is injective)."""
-    return complete_weight_enumerator(ds, budget).dimension
 
 
 def we_from_cwe(cwe: dict[tuple[int, ...], int], n: int) -> dict[int, int]:

@@ -146,6 +146,8 @@ def is_irreducible(modulus, p: int) -> bool:
         return False
     if m == 1:
         return True
+    if mod[0] == 0:  # X divides it
+        return False
     x = (0, 1) + (0,) * (m - 2)
     if _poly_powmod(x, p**m, mod, p) != x:
         return False

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from weilcodes import cli
+from weilcodes import cli, codes
 from weilcodes.cli import fmt_we, json_text, main, parse_sweep
 
 
@@ -131,6 +131,25 @@ def test_budget_refuses_before_the_scan(capsys, monkeypatch, command):
     assert code == 3
     assert out == ""
     assert err == "error: enumeration needs at least 1594323 symbol evaluations, budget is 5\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--p", "3", "--m1", "2", "--m2", "2", "--u", "1", "--lambda", "0", "--punctured"],
+        ["enumerate", "--p", "5", "--m1", "1", "--m2", "2", "--u", "1", "--lambda", "2"],
+        ["tables", "--which", "13p"],
+    ],
+    ids=["verify", "enumerate", "tables"],
+)
+def test_measurement_never_materializes_points(capsys, monkeypatch, argv):
+    def no_points(ds):
+        raise AssertionError("points materialized")
+
+    monkeypatch.setattr(codes.DefiningSet, "_lex", property(no_points))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out
 
 
 def test_construct_dump_checks_the_full_budget(capsys):

@@ -1,9 +1,11 @@
 """Defining sets, encoding, and exhaustive enumeration against frozen oracles."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import sweep_specs
 
 from weilcodes.codes import (
     BudgetExceeded,
@@ -15,7 +17,6 @@ from weilcodes.codes import (
     dump_lines,
     encode,
     symbol_count_table,
-    verify_dimension,
 )
 from weilcodes.gf import FieldMismatch
 
@@ -32,6 +33,62 @@ def brute_points(spec):
             if ((x * x).trace() + (y**e).trace()) % spec.p == spec.lam:
                 out.append((x, y))
     return out
+
+
+def from_points(spec, xs, ys):
+    """A defining set of arbitrary points: one singleton block per point."""
+    return DefiningSet(spec, [(xs[i : i + 1], ys[i : i + 1]) for i in range(len(xs))])
+
+
+def reference_scan(spec):
+    """The q1 x q2 membership mask read in lex order, then a per-point orbit ranking."""
+    f1, f2 = spec.field1, spec.field2
+    p = spec.p
+    tx = f1.trace_table()[f1.power_table(2)].astype(np.int64)
+    ty = f2.trace_table()[f2.power_table(p**spec.u + 1)].astype(np.int64)
+    mask = (tx[:, None] + ty[None, :]) % p == spec.lam
+    mask[0, 0] = False
+    lex1, lex2 = f1.lex_order(), f2.lex_order()
+    hits = np.argwhere(mask[np.ix_(lex1, lex2)])
+    xs, ys = lex1[hits[:, 0]], lex2[hits[:, 1]]
+    if not spec.punctured:
+        return xs, ys
+    # keep a point iff its lex rank is below that of each of its multiples
+    scalars = range(2, p) if spec.lam == 0 else (p - 1,)
+    dx, dy = f1.digits()[xs].astype(np.int64), f2.digits()[ys].astype(np.int64)
+
+    def rank(c):
+        return f1.lex_rank(c * dx % p) * f2.q + f2.lex_rank(c * dy % p)
+
+    own = rank(1)
+    keep = np.all([rank(c) > own for c in scalars], axis=0)
+    return xs[keep], ys[keep]
+
+
+def _p7_grid():
+    return [
+        CodeSpec(7, m1, m2, u, lam, punct)
+        for m1 in (1, 2) for m2 in (1, 2) for u in (1, 2, 3) for lam in range(7) for punct in (False, True)
+    ]
+
+
+def test_level_blocks_equal_the_mask_scan():
+    custom = CodeSpec(7, 1, 2, 1, 3, mod1=(3, 1), mod2=(2, 5, 1))
+    specs = list(sweep_specs()) + _p7_grid() + [custom, replace(custom, punctured=True)]
+    assert len(specs) == 546 + 168 + 2
+    for spec in specs:
+        ds = build_defining_set(spec)
+        xs, ys = reference_scan(spec)
+        assert np.array_equal(ds.xs, xs), spec
+        assert np.array_equal(ds.ys, ys), spec
+        assert len(ds) == len(xs)
+
+
+def test_enumeration_leaves_points_unmaterialized():
+    for punctured in (False, True):
+        ds = build_defining_set(CodeSpec(3, 2, 2, 1, 0, punctured))
+        assert complete_weight_enumerator(ds).length == len(ds)
+        assert "_lex" not in vars(ds) and "points" not in vars(ds)
 
 
 def test_defining_set_sizes_reference_rows():
@@ -137,8 +194,8 @@ def test_zero_composition_has_frequency_one_nondegenerate():
 
 
 def test_dimension_examples():
-    assert verify_dimension(build_defining_set(CodeSpec(3, 2, 2, 1, 0))) == 4
-    assert verify_dimension(build_defining_set(CodeSpec(3, 3, 2, 2, 0))) == 5
+    assert complete_weight_enumerator(build_defining_set(CodeSpec(3, 2, 2, 1, 0))).dimension == 4
+    assert complete_weight_enumerator(build_defining_set(CodeSpec(3, 3, 2, 2, 0))).dimension == 5
 
 
 def test_degenerate_defining_set_drops_dimension():
@@ -147,8 +204,8 @@ def test_degenerate_defining_set_drops_dimension():
     ds = build_defining_set(spec)
     keep = ds.ys == 0
     assert keep.any()
-    restricted = DefiningSet(spec, ds.xs[keep], ds.ys[keep])
-    assert verify_dimension(restricted) <= 2
+    restricted = from_points(spec, ds.xs[keep], ds.ys[keep])
+    assert complete_weight_enumerator(restricted).dimension <= 2
 
 
 def test_puncture_law_per_message():
@@ -216,7 +273,7 @@ def _flipped_representative_set():
     xs, ys = ds.xs.copy(), ds.ys.copy()
     xs[0] = spec.field1.mul_i(2, int(xs[0]))
     ys[0] = spec.field2.mul_i(2, int(ys[0]))
-    return DefiningSet(spec, xs, ys)
+    return from_points(spec, xs, ys)
 
 
 def _random_subset():
@@ -224,7 +281,7 @@ def _random_subset():
     spec = CodeSpec(5, 1, 2, 1, 0)
     ds = build_defining_set(spec)
     keep = np.random.default_rng(20240).random(len(ds)) < 0.5
-    sub = DefiningSet(spec, ds.xs[keep], ds.ys[keep])
+    sub = from_points(spec, ds.xs[keep], ds.ys[keep])
     f1 = spec.field1
     level = f1.trace_table()[f1.power_table(2)]
     fibres = {}
@@ -241,9 +298,9 @@ def _hand_made_set(kind):
     spec = CodeSpec(3, 2, 2, 1, 0)
     ds = build_defining_set(spec)
     if kind == "empty":
-        return DefiningSet(spec, ds.xs[:0], ds.ys[:0])
+        return from_points(spec, ds.xs[:0], ds.ys[:0])
     if kind == "single-point":
-        return DefiningSet(spec, ds.xs[3:4], ds.ys[3:4])
+        return from_points(spec, ds.xs[3:4], ds.ys[3:4])
     if kind == "flipped-representative":
         return _flipped_representative_set()
     if kind == "random-subset":

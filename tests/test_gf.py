@@ -13,6 +13,7 @@ from weilcodes.gf import (
     field_create,
     is_irreducible,
     linearized_operator,
+    smallest_irreducible,
     solve_linear,
 )
 
@@ -36,6 +37,40 @@ def test_smallest_irreducible_matches_scan():
         f = field_create(p, 2)
         assert f.modulus == brute_smallest_irreducible_quadratic(p)
     assert field_create(3, 2).modulus == (1, 0, 1)  # X^2 + 1: -1 is a non-square mod 3
+
+
+# the default moduli, as found by the full Rabin scan over every candidate
+DEFAULT_MODULI = {
+    (3, 1): (0, 1),
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 0, 2, 1),
+    (3, 4): (1, 0, 1, 1, 1),
+    (3, 5): (1, 0, 0, 0, 2, 1),
+    (3, 6): (1, 0, 0, 0, 1, 1, 1),
+    (3, 7): (1, 0, 0, 0, 0, 1, 2, 1),
+    (3, 8): (1, 0, 0, 0, 0, 1, 1, 0, 1),
+    (3, 9): (1, 0, 0, 0, 0, 0, 2, 1, 0, 1),
+    (5, 1): (0, 1),
+    (5, 2): (1, 1, 1),
+    (5, 3): (1, 0, 1, 1),
+    (5, 4): (1, 0, 1, 1, 1),
+    (5, 5): (1, 0, 0, 0, 4, 1),
+    (7, 1): (0, 1),
+    (7, 2): (1, 0, 1),
+    (7, 3): (1, 0, 1, 1),
+    (7, 4): (1, 0, 0, 1, 1),
+    (11, 1): (0, 1),
+    (11, 2): (1, 0, 1),
+    (11, 3): (1, 0, 4, 1),
+    (13, 1): (0, 1),
+    (13, 2): (1, 3, 1),
+    (13, 3): (1, 0, 4, 1),
+}
+
+
+def test_default_moduli_are_pinned():
+    for (p, m), modulus in DEFAULT_MODULI.items():
+        assert smallest_irreducible(p, m) == modulus, (p, m)
 
 
 def test_reducible_modulus_rejected():
