@@ -24,7 +24,7 @@ freed with the field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -418,19 +418,35 @@ class FiniteField:
         return self.cached("eta_vec", build)
 
     def power_table(self, e: int) -> np.ndarray:
-        """x^e for every index x, as an int32 index vector (0^0 = 1)."""
+        """x^e for every index x, as an int32 index vector (0^0 = 1).
+
+        Built from the base-p digits of e = sum e_k p^k as the product of the
+        (x^{e_k})^{p^k}: each p^k-th power is the digit rows times
+        `frob_matrix(k)`, and each x^d, d < p, is assembled once per distinct
+        digit from the squares x^{2^j}.  So x^{p^u + 1} costs one `mulmod`
+        and x^2 one square.
+        """
+        if e < 0:
+            raise GFError(f"power_table needs a nonnegative exponent, got {e}")
 
         def build():
-            out = np.zeros((self.q, self.m), dtype=np.int64)
-            out[:, 0] = 1
-            acc = self.digits()
-            k = e
-            while k:
-                if k & 1:
-                    out = self.mulmod(out, acc)
-                k >>= 1
-                if k:
-                    acc = self.mulmod(acc, acc)
+            squares = [self.digits()]  # x^(2^j), shared by every digit
+            of_digit = {}  # x^d per digit value d in use
+            out = None
+            rest, k = e, 0
+            while rest:
+                rest, d = divmod(rest, self.p)
+                if d:
+                    if d not in of_digit:
+                        while len(squares) < d.bit_length():
+                            squares.append(self.mulmod(squares[-1], squares[-1]))
+                        bits = [sq for j, sq in enumerate(squares) if d >> j & 1]
+                        of_digit[d] = reduce(self.mulmod, bits)
+                    term = of_digit[d] @ self.frob_matrix(k) % self.p
+                    out = term if out is None else self.mulmod(out, term)
+                k += 1
+            if out is None:  # e = 0
+                return np.ones(self.q, dtype=np.int32)
             return self.indices_of(out).astype(np.int32)
 
         return self.cached(("pow", e), build)

@@ -9,6 +9,7 @@ from weilcodes.gf import (
     CompositeP,
     DivisionByZero,
     FieldMismatch,
+    GFError,
     ReducibleModulus,
     field_create,
     is_irreducible,
@@ -245,7 +246,11 @@ def test_array_tables_match_element_arithmetic(p, m, modulus):
     # sides of the former 2048-element table limit
     f = field_create(p, m, modulus)
     rng = random.Random(f.q)
-    e = p**2 + 1
+    q = f.q
+    # every digit case of the power table: single digits, all digits p - 1
+    # (q - 1), the Frobenius wrap (x^(p^m + 1) = x^2) and e > q with no zero digit
+    exponents = [0, 1, p, p**2 + 1, (q - 1) // 2, q - 2, q - 1, q, p**m + 1]
+    exponents.append(sum(rng.randrange(1, p) * p**k for k in range(m + 2)))
     for _ in range(30):
         x, y = f.from_index(rng.randrange(f.q)), f.from_index(rng.randrange(f.q))
         conjugates = [x ** (p**k) for k in range(m)]
@@ -255,12 +260,19 @@ def test_array_tables_match_element_arithmetic(p, m, modulus):
         assert total == f.scalar(int(f.trace_table()[x.index]))
         assert f.frob_table()[x.index] == (x**p).index
         assert f.power_table(2)[x.index] == (x * x).index
-        assert f.power_table(e)[x.index] == (x**e).index
+        for e in exponents:
+            assert f.power_table(e)[x.index] == (x**e).index, e
         assert f.eta_table()[x.index] == x.eta()
         assert f.trace_of_products()[x.index, y.index] == (x * y).trace()
         assert f.trace_forms([x.index])[0, y.index] == (x * y).trace()
         assert tuple(f.mulmod(x.coeffs, y.coeffs)) == (x * y).coeffs
+    assert f.power_table(0)[0] == 1  # 0^0 = 1
     if f.q <= 125:
         assert (f.mul_table() == [[(x * y).index for y in f.elements()] for x in f.elements()]).all()
         keys = [f.coeffs_of(int(i)) for i in f.lex_order()]
         assert keys == sorted(keys)
+
+
+def test_power_table_refuses_negative_exponent():
+    with pytest.raises(GFError):
+        field_create(3, 2).power_table(-1)

@@ -1,11 +1,15 @@
 """Closed-form predictions against spec examples and structural invariants."""
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from weilcodes.codes import CodeSpec, build_defining_set, complete_weight_enumerator, encode
+from weilcodes.gf import is_irreducible
 from weilcodes.theory import (
     WrongRegime,
     case_of,
@@ -176,3 +180,47 @@ def test_degenerate_empty_code_is_consistent():
     assert pred.we == res.we == {0: 9}
     assert pred.cwe == res.cwe == {(0, 0, 0): 9}
     assert pred.dimension == res.dimension == 0
+
+
+# (p, m1, m2) of the differential test: p^K <= 3^7, 5^4, 7^3, inside the default budget
+_SHAPES = [
+    (p, m1, k - m1)
+    for p, k_max in ((3, 7), (5, 4), (7, 3))
+    for k in range(2, k_max + 1)
+    for m1 in range(1, k)
+]
+
+
+@lru_cache(maxsize=None)
+def _irreducibles(p, m):
+    """Every monic irreducible of degree m over F_p."""
+    lowers = itertools.product(range(p), repeat=m)
+    return [f for f in (c + (1,) for c in lowers) if is_irreducible(f, p)]
+
+
+@st.composite
+def _random_specs(draw):
+    p, m1, m2 = draw(st.sampled_from(_SHAPES))
+    return CodeSpec(
+        p,
+        m1,
+        m2,
+        u=draw(st.integers(1, 4)),
+        lam=draw(st.integers(0, p - 1)),
+        punctured=draw(st.booleans()),
+        mod1=draw(st.sampled_from(_irreducibles(p, m1))),
+        mod2=draw(st.sampled_from(_irreducibles(p, m2))),
+    )
+
+
+@seed(20211)
+@settings(max_examples=300, deadline=None, database=None)
+@given(_random_specs())
+def test_measured_equals_predicted_on_random_moduli(spec):
+    # differential: exhaustive measurement on random field presentations
+    # against the closed forms, which depend on the parameters alone
+    res = complete_weight_enumerator(build_defining_set(spec))
+    pred = predict_cwe(spec)
+    assert (res.length, res.dimension, res.we) == (pred.length, pred.dimension, pred.we)
+    if not spec.punctured:
+        assert res.cwe == pred.cwe
