@@ -196,16 +196,13 @@ def parse_sweep(text: str) -> list[CodeSpec]:
 
 
 def _scan(spec: CodeSpec, budget) -> DefiningSet:
-    """The defining set of spec, unless its q1 q2 messages alone exceed the budget.
+    """The defining set of spec, unless its scan of q1 + q2 level values alone exceeds the budget.
 
-    Every message costs at least one symbol evaluation, so this refuses only
-    jobs that the q1 q2 n check of the enumeration refuses too.  The scan
-    itself costs q1 + q2, but `construct` then materializes all n points,
-    which this check bounds before they exist.
+    Every charge that follows (the enumeration's, the points listed by
+    `construct`, the codewords of `--dump`) starts from those q1 + q2, so
+    this refuses only jobs that a later check refuses too.
     """
-    messages = spec.field1.q * spec.field2.q
-    if budget is not None and messages > budget:
-        raise BudgetExceeded(messages, budget, at_least=True)
+    check_budget(spec.field1.q + spec.field2.q, budget, at_least=True)
     return build_defining_set(spec)
 
 
@@ -325,8 +322,11 @@ def cmd_construct(args) -> int:
         spec = spec_from_args(args)
     budget = resolve_budget(args)
     ds = _scan(spec, budget)
-    if args.dump and args.format == "text":
-        check_budget(ds, budget)  # the dump encodes every codeword
+    q1, q2 = spec.field1.q, spec.field2.q
+    if args.format == "json":
+        check_budget(q1 + q2 + len(ds), budget)  # the scan, then every point listed
+    elif args.dump:
+        check_budget(q1 * q2 * max(len(ds), 1), budget)  # the dump encodes every codeword
     key = case_of(spec)
     if args.format == "json":
         obj = {
@@ -509,7 +509,7 @@ def _add_spec_args(sub, need_spec=True):
         sub.add_argument("--modulus1", help="comma-separated coefficients, low degree first")
         sub.add_argument("--modulus2", help="comma-separated coefficients, low degree first")
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--budget", type=int, help="symbol-evaluation budget; 0 = unlimited")
+    sub.add_argument("--budget", type=int, help="operation budget; 0 = unlimited")
     sub.add_argument("--config", help="key=value config file (budget=...)")
 
 

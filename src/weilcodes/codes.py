@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf import _BLOCK, CompositeP, FFElement, FieldMismatch, FiniteField, cached_field, is_odd_prime
+from .gf import CompositeP, FFElement, FieldMismatch, FiniteField, cached_field, is_odd_prime
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -22,11 +22,11 @@ _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
 class BudgetExceeded(Exception):
-    """Enumeration would exceed the symbol-evaluation budget."""
+    """Enumeration would exceed the operation budget."""
 
     def __init__(self, required, budget, at_least=False):
         needs = f"at least {required}" if at_least else required
-        super().__init__(f"enumeration needs {needs} symbol evaluations, budget is {budget}")
+        super().__init__(f"enumeration needs {needs} operations, budget is {budget}")
         self.required = required
         self.budget = budget
 
@@ -171,21 +171,70 @@ def encode(ds: DefiningSet, a: FFElement, b: FFElement) -> list[int]:
     return ((ta[ds.xs] + tb[ds.ys]) % spec.p).tolist()
 
 
-def _class_histograms(tr: np.ndarray, members, labels, n_classes: int, p: int) -> np.ndarray:
+def _histogram_split(n: int, n_classes: int, p: int, m: int) -> tuple[int, int]:
+    """(g, cost) of `_class_histograms` on n members in n_classes classes of F_{p^m}.
+
+    Counting the low g digits of a directly writes n p^g keys; each of the
+    other m - g butterfly steps costs n_classes q p^2 additions.  g minimizes
+    the sum, which is the cost; g = m is the direct count.
+    """
+    q = p**m
+    cost, g = min((n * p**g + (m - g) * n_classes * q * p * p, g) for g in range(1, m + 1))
+    return g, cost
+
+
+def _class_histograms(f: FiniteField, members, labels, n_classes: int) -> np.ndarray:
     """(q, n_classes * p) counts: entry [a, c p + t] is #{members z of class c : Tr(a z) = t}.
 
-    tr is the field's (q, q) Tr(xy) table; it is read in row blocks.
+    With y = z G mod p the trace-form coordinates of z (G the Gram matrix of
+    `FiniteField._gram`), Tr(a z) = sum_k a_k y_k over the digits a_k of a.
+    The low g digits of a are counted directly (`_count_low_digits`).  Each
+    other digit k is one butterfly step of the generalized Walsh-Hadamard
+    transform (Chrestenson 1955) kept in histogram form,
+
+        new[..., a_k, ..., t] = sum_{y_k} old[..., y_k, ..., t - a_k y_k mod p],
+
+    which turns the axis of y_k into the axis of a_k.  g comes from
+    `_histogram_split`.  The counts are exact integers; no q x q table is read.
     """
-    q = tr.shape[0]
-    width = n_classes * p
-    out = np.empty((q, width), dtype=np.int64)
-    cols = (labels * p)[None, :]
-    step = max(1, _BLOCK // len(members))
-    for lo in range(0, q, step):
-        blk = tr[lo : lo + step, members] + cols
-        blk += (np.arange(len(blk)) * width)[:, None]
-        out[lo : lo + step] = np.bincount(blk.ravel(), minlength=len(blk) * width).reshape(-1, width)
-    return out
+    p, m, q = f.p, f.m, f.q
+    g, _ = _histogram_split(len(members), n_classes, p, m)
+    hist = _count_low_digits(f.digits()[members] @ f._gram() % p, labels, n_classes, p, g)
+    for k in range(g, m):  # axes (y_{m-1} .. y_{k+1}, y_k, rest, t)
+        old = hist.reshape(p ** (m - 1 - k), p, p**k * n_classes, p)
+        wrap = np.concatenate([old, old], axis=-1)  # wrap[..., p - s : 2p - s] is t - s mod p
+        hist = np.empty_like(old)
+        hist[:, 0] = old.sum(axis=1)
+        for a in range(1, p):
+            acc = hist[:, a]
+            acc[...] = old[:, 0]
+            for yk in range(1, p):
+                s = a * yk % p
+                acc += wrap[:, yk, :, p - s : 2 * p - s]
+    return hist.reshape(q, n_classes * p)
+
+
+def _count_low_digits(y: np.ndarray, labels, n_classes: int, p: int, g: int) -> np.ndarray:
+    """Counts over (y_high, a_low, class, t): one bincount over every (member, a_low).
+
+    y holds the members' trace-form coordinates; a_low = sum_{k < g} a_k p^k
+    runs over the low g digits of a, t = sum_{k < g} a_k y_k mod p, and
+    y_high = sum_{k >= g} y_k p^(k - g) keeps the digits still to be folded.
+    """
+    n, m = y.shape
+    # t in int16 while the sum fits, reduced as x - x // p * p: numpy's integer %
+    # is many times slower than its // by a scalar
+    small = np.int16 if g * (p - 1) ** 2 < 2**15 else np.int64
+    y_low = y[:, :g].T.astype(small)
+    digit = np.arange(p, dtype=small)[:, None]
+    t = np.zeros((n, 1), dtype=small)
+    for k in range(g):
+        t = (y_low[k, :, None, None] * digit + t[:, None, :]).reshape(n, -1)
+    t -= t // p * p
+    y_high = y[:, g:] @ p ** np.arange(m - g)
+    key = ((y_high * p**g * n_classes + labels) * p)[:, None] + np.arange(p**g) * (n_classes * p)
+    key += t
+    return np.bincount(key.ravel(), minlength=p**m * n_classes * p)
 
 
 def _group_rows(rows: np.ndarray):
@@ -205,15 +254,16 @@ def _group_rows(rows: np.ndarray):
     return srt[cut], inv
 
 
-def check_budget(ds: DefiningSet, budget: int | None) -> None:
-    """Refuse (BudgetExceeded) a job of q1 q2 n symbol evaluations above the budget; None is unlimited."""
-    spec = ds.spec
-    required = spec.field1.q * spec.field2.q * max(len(ds), 1)
+def check_budget(required: int, budget: int | None, at_least: bool = False) -> None:
+    """Refuse (BudgetExceeded) a job of `required` operations above the budget; None is unlimited.
+
+    at_least marks a lower bound, charged before the rest of the cost is known.
+    """
     if budget is not None and required > budget:
-        raise BudgetExceeded(required, budget)
+        raise BudgetExceeded(required, budget, at_least)
 
 
-def _class_tally(ds: DefiningSet):
+def _class_tally(ds: DefiningSet, budget: int | None = None):
     """(counts, inv_a, inv_b): the tally on distinct histogram rows, and each message's row.
 
     counts[i, j, r] is the number of coordinates equal to r in the codeword
@@ -224,24 +274,34 @@ def _class_tally(ds: DefiningSet):
 
         N[a, b, r] = sum_c sum_t A_c[a, t] B_c[b, r - t mod p],
 
-    formed once per distinct row of A and of B.  It costs about (#classes)
-    |uA| |uB| p^2 plus the two per-field histograms, is exact in integers
-    and holds for any disjoint blocks.
+    formed once per distinct row of A and of B.  It is exact in integers and
+    holds for any disjoint blocks.
+
+    The budget charges the real cost: the q1 + q2 level values scanned for
+    the blocks, the two histograms (`_histogram_split`), checked before any
+    array is built, and then |uA| |uB| (#classes) p^2 for the pairs,
+    checked after grouping and before they are formed.
     """
     spec = ds.spec
     p = spec.p
-    q1, q2 = spec.field1.q, spec.field2.q
+    f1, f2 = spec.field1, spec.field2
+    spent = f1.q + f2.q
     if len(ds) == 0:  # one all-zero row, shared by every message
-        return np.zeros((1, 1, p), dtype=np.int64), np.zeros(q1, dtype=np.int64), np.zeros(q2, dtype=np.int64)
+        check_budget(spent, budget)
+        return np.zeros((1, 1, p), dtype=np.int64), np.zeros(f1.q, dtype=np.int64), np.zeros(f2.q, dtype=np.int64)
     n_classes = len(ds.blocks)
+    x_sizes = [len(bx) for bx, _ in ds.blocks]
+    y_sizes = [len(by) for _, by in ds.blocks]
+    spent += _histogram_split(sum(x_sizes), n_classes, p, f1.m)[1]
+    spent += _histogram_split(sum(y_sizes), n_classes, p, f2.m)[1]
+    check_budget(spent, budget, at_least=True)
     xs = np.concatenate([bx for bx, _ in ds.blocks])
     ys = np.concatenate([by for _, by in ds.blocks])
-    x_class = np.repeat(np.arange(n_classes), [len(bx) for bx, _ in ds.blocks])
-    y_class = np.repeat(np.arange(n_classes), [len(by) for _, by in ds.blocks])
-    hist_a = _class_histograms(spec.field1.trace_of_products(), xs, x_class, n_classes, p)
-    hist_b = _class_histograms(spec.field2.trace_of_products(), ys, y_class, n_classes, p)
+    hist_a = _class_histograms(f1, xs, np.repeat(np.arange(n_classes), x_sizes), n_classes)
+    hist_b = _class_histograms(f2, ys, np.repeat(np.arange(n_classes), y_sizes), n_classes)
     uniq_a, inv_a = _group_rows(hist_a)
     uniq_b, inv_b = _group_rows(hist_b)
+    check_budget(spent + len(uniq_a) * len(uniq_b) * n_classes * p * p, budget)
     uniq_a = uniq_a.reshape(len(uniq_a), n_classes, p)
     r_minus_t = (np.arange(p)[:, None] - np.arange(p)[None, :]) % p
     shifted_b = uniq_b.reshape(len(uniq_b), n_classes, p)[:, :, r_minus_t]  # [b, c, r, t]
@@ -252,12 +312,12 @@ def _class_tally(ds: DefiningSet):
 def symbol_count_table(ds: DefiningSet, budget: int | None = DEFAULT_BUDGET) -> np.ndarray:
     """(q1, q2, p) tally: entry [a, b, r] counts coordinates of codeword (a, b) equal to r.
 
-    The budget counts the q1 q2 n symbol evaluations of codeword-by-codeword
-    encoding and refuses the job above it.  The tally is `_class_tally`,
-    expanded to every message pair.
+    The tally is `_class_tally`, expanded to every message pair; the budget
+    charges the q1 q2 p entries of the table before the tally's own cost.
     """
-    check_budget(ds, budget)
-    return _expand(*_class_tally(ds))
+    spec = ds.spec
+    check_budget(spec.field1.q * spec.field2.q * spec.p, budget, at_least=True)
+    return _expand(*_class_tally(ds, budget))
 
 
 def _expand(counts: np.ndarray, inv_a: np.ndarray, inv_b: np.ndarray) -> np.ndarray:
@@ -298,13 +358,12 @@ def complete_weight_enumerator(
     the #{a : inv_a[a] = i} #{b : inv_b[b] = j} message pairs that share
     it.  Equal rows are grouped and their weights summed in int64; the CWE
     maps each composition, in lexicographic order, to its number of
-    codewords.
+    codewords.  The budget is charged as in `_class_tally`.
     """
-    check_budget(ds, budget)
     spec = ds.spec
     p = spec.p
     n = len(ds)
-    counts, inv_a, inv_b = _class_tally(ds)
+    counts, inv_a, inv_b = _class_tally(ds, budget)
     comps, group = _group_rows(counts.reshape(-1, p))
     weight = np.outer(np.bincount(inv_a, minlength=counts.shape[0]),
                       np.bincount(inv_b, minlength=counts.shape[1]))

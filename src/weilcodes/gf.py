@@ -452,7 +452,11 @@ class FiniteField:
         return self.cached(("pow", e), build)
 
     def trace_of_products(self) -> np.ndarray:
-        """(q, q) int8 table of Tr(x*y), built as D G D^T mod p in row blocks."""
+        """(q, q) int8 table of Tr(x*y), built as D G D^T mod p in row blocks.
+
+        No library path reads it: the class histograms of `codes` work from
+        the Gram matrix.  Only the benchmark and the tests build it.
+        """
 
         def build():
             out = np.empty((self.q, self.q), dtype=np.int8)
@@ -464,7 +468,10 @@ class FiniteField:
         return self.cached("trace_prod", build)
 
     def mul_table(self) -> np.ndarray:
-        """(q, q) int32 index multiplication table, built in row blocks."""
+        """(q, q) int32 index multiplication table, built in row blocks.
+
+        No library path reads it; only the benchmark and the tests build it.
+        """
 
         def build():
             d = self.digits()

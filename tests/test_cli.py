@@ -118,8 +118,8 @@ def test_budget_exceeded_exit_3(capsys):
 
 @pytest.mark.parametrize("command", ["verify", "enumerate", "construct"])
 def test_budget_refuses_before_the_scan(capsys, monkeypatch, command):
-    # q1 q2 = 3^13 messages exceed the budget on their own: refused before
-    # the 530 k-point defining set is built
+    # the scan of q1 + q2 = 3^7 + 3^6 level values exceeds the budget on its
+    # own: refused before the 530 k-point defining set is built
     def no_scan(spec):
         raise AssertionError("defining set built before the budget check")
 
@@ -130,7 +130,7 @@ def test_budget_refuses_before_the_scan(capsys, monkeypatch, command):
     )
     assert code == 3
     assert out == ""
-    assert err == "error: enumeration needs at least 1594323 symbol evaluations, budget is 5\n"
+    assert err == "error: enumeration needs at least 2916 operations, budget is 5\n"
 
 
 @pytest.mark.parametrize(

@@ -7,18 +7,21 @@ import numpy as np
 import pytest
 from conftest import sweep_specs
 
+from weilcodes import codes
 from weilcodes.codes import (
     BudgetExceeded,
     CodeSpec,
     DefiningSet,
+    _class_histograms,
     _group_rows,
+    _histogram_split,
     build_defining_set,
     complete_weight_enumerator,
     dump_lines,
     encode,
     symbol_count_table,
 )
-from weilcodes.gf import FieldMismatch
+from weilcodes.gf import FieldMismatch, FiniteField, is_irreducible, smallest_irreducible
 
 
 def brute_points(spec):
@@ -247,11 +250,19 @@ def test_no_identically_zero_coordinate():
 
 
 def test_budget_guard():
+    # blocks (|X_c|, |Y_c|) = (4, 1), (2, 4), (2, 4) in F_9 x F_9: the scan
+    # reads 9 + 9 level values, the direct counts (g = m = 2) write 8 * 9 and
+    # 9 * 9 keys, and the 4 x 3 distinct row pairs cost 3 classes * 3^2 each
     ds = build_defining_set(CodeSpec(3, 2, 2, 1, 0))
-    with pytest.raises(BudgetExceeded) as exc:
-        complete_weight_enumerator(ds, budget=100)
-    assert exc.value.required == 81 * 20
-    # unlimited budget works
+    histograms = 18 + 72 + 81
+    total = histograms + 4 * 3 * 3 * 9
+    with pytest.raises(BudgetExceeded, match="needs at least 171 operations") as exc:
+        complete_weight_enumerator(ds, budget=histograms - 1)
+    assert exc.value.required == histograms
+    with pytest.raises(BudgetExceeded, match="needs 495 operations") as exc:
+        complete_weight_enumerator(ds, budget=total - 1)
+    assert exc.value.required == total
+    assert complete_weight_enumerator(ds, budget=total).length == 20
     assert complete_weight_enumerator(ds, budget=None).length == 20
 
 
@@ -345,6 +356,66 @@ def test_group_rows_is_unique_axis0():
         want_uniq, want_inv = np.unique(rows, axis=0, return_inverse=True)
         assert np.array_equal(uniq, want_uniq)
         assert np.array_equal(inv, want_inv.ravel())
+
+
+def _random_modulus(rng, p, m):
+    """A monic irreducible of degree m drawn at random, not the default one."""
+    default = smallest_irreducible(p, m)
+    while True:
+        cand = tuple(int(c) for c in rng.integers(0, p, m)) + (1,)
+        if cand != default and is_irreducible(cand, p):
+            return cand
+
+
+def _reference_histograms(f, members, labels, n_classes):
+    """The class histograms counted element by element: (a z).trace() per member z and message a."""
+    out = np.zeros((f.q, n_classes * f.p), dtype=np.int64)
+    zs = [f.from_index(int(z)) for z in members]
+    for a in f.elements():
+        for z, c in zip(zs, labels):
+            out[a.index, c * f.p + (a * z).trace()] += 1
+    return out
+
+
+# (p, m, most members): at most ~6k element products per field; at p = 191 the
+# sums a_k y_k outgrow int16
+_HISTOGRAM_FIELDS = [
+    (3, 1, 3), (3, 2, 9), (3, 3, 27), (3, 4, 81), (3, 5, 40), (5, 1, 5), (5, 2, 25),
+    (5, 3, 48), (5, 4, 8), (5, 5, 2), (7, 1, 7), (7, 2, 49), (7, 3, 16), (7, 4, 2),
+    (11, 1, 11), (11, 2, 40), (11, 3, 4), (13, 1, 13), (13, 2, 36), (13, 3, 2), (191, 1, 30),
+]
+
+
+def test_class_histograms_equal_an_element_count():
+    # random member sets with an empty and a singleton class, on non-default
+    # moduli, against an element-by-element count
+    rng = np.random.default_rng(8)
+    splits = set()
+    for p, m, most in _HISTOGRAM_FIELDS:
+        f = FiniteField(p, m, _random_modulus(rng, p, m))
+        n = int(rng.integers(max(1, most // 2), most + 1))
+        members = rng.choice(f.q, size=n, replace=False)
+        n_classes = int(rng.integers(3, 6))
+        labels = rng.integers(0, n_classes - 2, size=n)
+        labels[0] = n_classes - 2  # a singleton class; class n_classes - 1 stays empty
+        got = _class_histograms(f, members, labels, n_classes)
+        assert np.array_equal(got, _reference_histograms(f, members, labels, n_classes)), (p, m)
+        g, _ = _histogram_split(n, n_classes, p, m)
+        splits.add("g = 1" if g == 1 else "g = m" if g == m else "1 < g < m")
+    # the cost rule picks each kind of split; with distinct members g = 1 only at m = 1
+    assert splits == {"g = 1", "1 < g < m", "g = m"}
+
+
+def test_every_histogram_split_gives_the_same_counts(monkeypatch):
+    rng = np.random.default_rng(9)
+    for p, m in [(3, 5), (5, 3), (7, 2)]:
+        f = FiniteField(p, m, _random_modulus(rng, p, m))
+        members = rng.choice(f.q, size=f.q // 2, replace=False)
+        labels = rng.integers(0, 3, size=len(members))
+        want = _reference_histograms(f, members, labels, 4)
+        for g in range(1, m + 1):
+            monkeypatch.setattr(codes, "_histogram_split", lambda *args, g=g: (g, 0))
+            assert np.array_equal(_class_histograms(f, members, labels, 4), want), (p, m, g)
 
 
 def test_punctured_we_is_transversal_invariant_but_cwe_is_not():

@@ -1,7 +1,6 @@
 """Closed-form predictions against spec examples and structural invariants."""
 
 import itertools
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from weilcodes.codes import CodeSpec, build_defining_set, complete_weight_enumerator, encode
-from weilcodes.gf import is_irreducible
+from weilcodes.gf import FiniteField, is_irreducible
 from weilcodes.theory import (
     WrongRegime,
     case_of,
@@ -182,20 +181,39 @@ def test_degenerate_empty_code_is_consistent():
     assert pred.dimension == res.dimension == 0
 
 
-# (p, m1, m2) of the differential test: p^K <= 3^7, 5^4, 7^3, inside the default budget
+@pytest.mark.parametrize("spec", [CodeSpec(3, 10, 1, 1, 1), CodeSpec(3, 10, 10, 2, 1)], ids=["K=11", "K=20"])
+def test_measurement_builds_no_q_by_q_table(monkeypatch, spec):
+    # q1 = 3^10: a q x q table would be 3.5 GB; at K = 20 the code has
+    # n = 1.16e9 coordinates and the measurement still takes well under 1 s
+    def no_table(field):
+        raise AssertionError(f"q x q table built on {field}")
+
+    monkeypatch.setattr(FiniteField, "trace_of_products", no_table)
+    monkeypatch.setattr(FiniteField, "mul_table", no_table)
+    res = complete_weight_enumerator(build_defining_set(spec), budget=None)
+    pred = predict_cwe(spec)
+    assert (res.length, res.dimension, res.we, res.cwe) == (pred.length, pred.dimension, pred.we, pred.cwe)
+
+
+# (p, m1, m2) of the differential test: p^K <= 3^10, 5^5, 7^4, 11^3, 13^3, inside the default budget
 _SHAPES = [
     (p, m1, k - m1)
-    for p, k_max in ((3, 7), (5, 4), (7, 3))
+    for p, k_max in ((3, 10), (5, 5), (7, 4), (11, 3), (13, 3))
     for k in range(2, k_max + 1)
     for m1 in range(1, k)
 ]
 
 
-@lru_cache(maxsize=None)
-def _irreducibles(p, m):
-    """Every monic irreducible of degree m over F_p."""
-    lowers = itertools.product(range(p), repeat=m)
-    return [f for f in (c + (1,) for c in lowers) if is_irreducible(f, p)]
+def _irreducible_at(p, m, start):
+    """The first monic irreducible of degree m at or after candidate number start, cyclically.
+
+    Candidate i has the base-p digits of i as its low coefficients, so every
+    irreducible is reachable without listing them all.
+    """
+    for i in range(start, start + p**m):
+        cand = tuple(i % p**m // p**k % p for k in range(m)) + (1,)
+        if is_irreducible(cand, p):
+            return cand
 
 
 @st.composite
@@ -208,8 +226,8 @@ def _random_specs(draw):
         u=draw(st.integers(1, 4)),
         lam=draw(st.integers(0, p - 1)),
         punctured=draw(st.booleans()),
-        mod1=draw(st.sampled_from(_irreducibles(p, m1))),
-        mod2=draw(st.sampled_from(_irreducibles(p, m2))),
+        mod1=_irreducible_at(p, m1, draw(st.integers(0, p**m1 - 1))),
+        mod2=_irreducible_at(p, m2, draw(st.integers(0, p**m2 - 1))),
     )
 
 
