@@ -324,8 +324,8 @@ def gamma_table(field: FiniteField, u: int) -> np.ndarray:
 
 def gamma_of(field: FiniteField, u: int, b: FFElement) -> FFElement | None:
     """The designated solution of X^{p^{2u}} + X = -b^{p^u} (None when unsolvable)."""
-    gi = int(gamma_table(field, u)[b.index])
-    return None if gi < 0 else field.from_index(gi)
+    gi = gamma_table(field, u).item(b.index)
+    return None if gi < 0 else FFElement(field, None, gi)
 
 
 def weil_sum_scalar_closed(field: FiniteField, u: int, z1: int, z2: int, b: FFElement) -> CycInt:

@@ -15,10 +15,12 @@ Whole-field work runs on (N, m) arrays of digit rows, at any field size:
 * Tr(xy) is the trace-form Gram matrix G[i, j] = Tr(X^{i+j}), so the table
   of Tr(xy) is D G D^T mod p for the digit array D of all elements.
 
-Single elements (`FFElement`, the index helpers and the irreducibility test)
-stay on pure-Python polynomial arithmetic, which is faster than a one-row
-array product.  Derived data is kept in each field's own cache, so it is
-freed with the field.
+A single element (`FFElement`) keeps the index or the coefficients it was
+built from and derives the other on first read, so `from_index` and `.index`
+are O(1).  Its products, powers, inverse, trace and quadratic character work
+on the coefficients in pure-Python polynomial arithmetic, which is faster
+than a one-row array product, as is the irreducibility test.  Derived data is
+kept in each field's own cache, so it is freed with the field.
 """
 
 from __future__ import annotations
@@ -260,7 +262,7 @@ class FiniteField:
         return FFElement(self, coeffs)
 
     def from_index(self, idx: int) -> "FFElement":
-        return FFElement(self, self.coeffs_of(idx % self.q))
+        return FFElement(self, None, int(idx) % self.q)
 
     def scalar(self, c: int) -> "FFElement":
         """Embed c in F_p as c * 1."""
@@ -281,30 +283,6 @@ class FiniteField:
     def elements(self):
         for i in range(self.q):
             yield self.from_index(i)
-
-    # -- index-level arithmetic on single elements (polynomial path) --
-
-    def mul_i(self, i: int, j: int) -> int:
-        prod = _poly_mulmod(self.coeffs_of(i), self.coeffs_of(j), self.modulus, self.p)
-        return self.index_of(prod)
-
-    def pow_i(self, i: int, e: int) -> int:
-        if e < 0:
-            return self.pow_i(self.inv_i(i), -e)
-        return self.index_of(_poly_powmod(self.coeffs_of(i), e, self.modulus, self.p))
-
-    def inv_i(self, i: int) -> int:
-        if i == 0:
-            raise DivisionByZero("inverse of zero")
-        return self.pow_i(i, self.q - 2)
-
-    def trace_i(self, i: int) -> int:
-        return sum(c * t for c, t in zip(self.coeffs_of(i), self._trace_functional())) % self.p
-
-    def eta_i(self, i: int) -> int:
-        if i == 0:
-            return 0
-        return 1 if self.pow_i(i, (self.q - 1) // 2) == 1 else -1
 
     # -- the digit-array core --
 
@@ -452,14 +430,15 @@ class FiniteField:
         return self.cached(("pow", e), build)
 
     def trace_of_products(self) -> np.ndarray:
-        """(q, q) int8 table of Tr(x*y), built as D G D^T mod p in row blocks.
+        """(q, q) table of Tr(x*y), built as D G D^T mod p in row blocks.
 
-        No library path reads it: the class histograms of `codes` work from
-        the Gram matrix.  Only the benchmark and the tests build it.
+        Stored as int8, or as int16 for p > 127, where int8 would wrap.  No
+        library path reads it: the class histograms of `codes` work from the
+        Gram matrix.  Only the benchmark and the tests build it.
         """
 
         def build():
-            out = np.empty((self.q, self.q), dtype=np.int8)
+            out = np.empty((self.q, self.q), dtype=np.int8 if self.p <= 127 else np.int16)
             step = max(1, _BLOCK // self.q)
             for lo in range(0, self.q, step):
                 out[lo : lo + step] = self.trace_forms(np.arange(lo, min(lo + step, self.q)))
@@ -496,17 +475,31 @@ def cached_field(p: int, m: int, modulus: tuple[int, ...] | None = None) -> Fini
 
 
 class FFElement:
-    """An element of a FiniteField as a reduced coefficient vector."""
+    """An element of a FiniteField, held as its index or its reduced coefficient vector.
 
-    __slots__ = ("field", "coeffs")
+    Each element keeps the representation it was built from (the index from
+    `from_index`, the coefficients from arithmetic and `element`) and derives
+    the other on first read, then keeps it too.
+    """
 
-    def __init__(self, field: FiniteField, coeffs: tuple[int, ...]):
+    __slots__ = ("field", "_coeffs", "_index")
+
+    def __init__(self, field: FiniteField, coeffs: tuple[int, ...] | None = None, index: int | None = None):
         self.field = field
-        self.coeffs = coeffs
+        self._coeffs = coeffs
+        self._index = index
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        if self._coeffs is None:
+            self._coeffs = self.field.coeffs_of(self._index)
+        return self._coeffs
 
     @property
     def index(self) -> int:
-        return self.field.index_of(self.coeffs)
+        if self._index is None:
+            self._index = self.field.index_of(self._coeffs)
+        return self._index
 
     def _check(self, other):
         if not isinstance(other, FFElement):
@@ -539,12 +532,15 @@ class FFElement:
         return self * other.inverse()
 
     def __pow__(self, e: int):
+        if e < 0:
+            return self.inverse() ** -e
         f = self.field
-        return f.from_index(f.pow_i(self.index, e))
+        return FFElement(f, _poly_powmod(self.coeffs, e, f.modulus, f.p))
 
     def inverse(self) -> "FFElement":
-        f = self.field
-        return f.from_index(f.inv_i(self.index))
+        if self.is_zero():
+            raise DivisionByZero("inverse of zero")
+        return self ** (self.field.q - 2)
 
     def frobenius_iterate(self, k: int) -> "FFElement":
         """x -> x^{p^k}, k reduced mod m, through the Frobenius matrix."""
@@ -553,24 +549,31 @@ class FFElement:
 
     def trace(self) -> int:
         """Tr(x) = sum of x^{p^i}, returned as a value in {0, ..., p-1}."""
-        return self.field.trace_i(self.index)
+        f = self.field
+        return sum(c * t for c, t in zip(self.coeffs, f._trace_functional())) % f.p
 
     def eta(self) -> int:
         """Quadratic character: +1 on nonzero squares, -1 on non-squares, 0 at 0."""
-        return self.field.eta_i(self.index)
+        if self.is_zero():
+            return 0
+        f = self.field
+        half = self ** ((f.q - 1) // 2)  # Euler's criterion
+        return 1 if half.coeffs == (1,) + (0,) * (f.m - 1) else -1
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        if self._index is not None:
+            return self._index == 0
+        return not any(self._coeffs)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FFElement)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
+        if not isinstance(other, FFElement) or self.field != other.field:
+            return False
+        if self._index is not None and other._index is not None:
+            return self._index == other._index
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.index))
 
     def __repr__(self):
         return f"FFElement({self.field!r}, {self.coeffs})"

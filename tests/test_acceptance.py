@@ -310,9 +310,8 @@ def test_criterion_9_adjudications():
         for yi in range(f2.q):
             if xi == 0 and yi == 0:
                 continue
-            lhs = (
-                f1.trace_i(f1.mul_i(xi, xi)) + f2.trace_i(f2.pow_i(yi, 3 ** (1 + 1)))
-            ) % 3
+            x, y = f1.from_index(xi), f2.from_index(yi)
+            lhs = ((x * x).trace() + (y ** (3 ** (1 + 1))).trace()) % 3
             alt += lhs == 0
     assert len(defining_set_of(spec)) == 20
     assert alt == 26 != 20

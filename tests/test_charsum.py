@@ -18,6 +18,7 @@ from weilcodes.charsum import (
     eta1,
     g1,
     gamma_of,
+    gamma_table,
     gauss_sum_bruteforce,
     gauss_sum_closed,
     orthogonality_sum,
@@ -28,7 +29,7 @@ from weilcodes.charsum import (
     weil_sum_closed,
     weil_sum_scalar_closed,
 )
-from weilcodes.gf import field_create, linearized_operator, solve_linear
+from weilcodes.gf import FiniteField, field_create, linearized_operator, solve_linear
 
 # fields above the former 2048-element limit of the dense tables, one with a
 # non-default modulus (the default for 47^2 is X^2 + 1)
@@ -280,6 +281,26 @@ def test_gamma_of_is_solve_linear_particular_solution(p, m, u, modulus):
     for b in field.elements():
         sol = solve_linear(op, -(b.frobenius_iterate(u)))
         assert gamma_of(field, u, b) == sol.particular, b.index
+
+
+@pytest.mark.parametrize("p,m,u", [(3, 5, 1), (5, 4, 1)])
+def test_index_reads_compute_no_coefficients(monkeypatch, p, m, u):
+    # from_index, .index and gamma_of stay on indices: no coefficient tuple
+    field = field_create(p, m)
+    table = gamma_table(field, u).tolist()
+
+    def no_coeffs(self, idx):
+        raise AssertionError(f"coefficients of index {idx} computed on {self}")
+
+    monkeypatch.setattr(FiniteField, "coeffs_of", no_coeffs)
+    for i in range(field.q):
+        assert field.from_index(i).index == i
+        assert field.from_index(i + field.q).index == i
+        gam = gamma_of(field, u, field.from_index(i))
+        if table[i] < 0:
+            assert gam is None
+        else:
+            assert gam.index == table[i]
 
 
 def test_dropped_field_is_freed():

@@ -282,8 +282,9 @@ def _flipped_representative_set():
     spec = CodeSpec(3, 2, 2, 1, 0, punctured=True)
     ds = build_defining_set(spec)
     xs, ys = ds.xs.copy(), ds.ys.copy()
-    xs[0] = spec.field1.mul_i(2, int(xs[0]))
-    ys[0] = spec.field2.mul_i(2, int(ys[0]))
+    f1, f2 = spec.field1, spec.field2
+    xs[0] = (f1.from_index(2) * f1.from_index(int(xs[0]))).index
+    ys[0] = (f2.from_index(2) * f2.from_index(int(ys[0]))).index
     return from_points(spec, xs, ys)
 
 

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from weilcodes.gf import (
@@ -271,6 +272,55 @@ def test_array_tables_match_element_arithmetic(p, m, modulus):
         assert (f.mul_table() == [[(x * y).index for y in f.elements()] for x in f.elements()]).all()
         keys = [f.coeffs_of(int(i)) for i in f.lex_order()]
         assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize(
+    "p,m,modulus",
+    [(3, 7, None), (47, 2, None), (131, 1, None), (5, 4, (4, 4, 4, 3, 1))],
+)
+def test_scalar_path_matches_array_path(p, m, modulus):
+    # single elements (polynomial arithmetic on whichever representation they
+    # hold) against the whole-field digit-array tables, index by index
+    f = field_create(p, m, modulus)
+    q = f.q
+    if q > 2500:
+        indices = random.Random(q).sample(range(q), 2500)
+    else:
+        indices = range(q)
+    rows = f.digits().tolist()
+    exponents = [0, 2, p + 1, q - 2]
+    powers = {e: f.power_table(e).tolist() for e in exponents}
+    traces, etas = f.trace_table().tolist(), f.eta_table().tolist()
+    for i in indices:
+        x = f.from_index(i)
+        assert x.coeffs == tuple(rows[i])
+        assert f.element(rows[i]).index == i
+        for e in exponents:
+            assert (x**e).index == powers[e][i], (i, e)
+        if i:
+            assert x**-1 == x.inverse()
+        assert x.trace() == traces[i]
+        assert x.eta() == etas[i]
+        by_index, by_coeffs = f.from_index(i), f.element(rows[i])
+        assert by_index == by_coeffs and by_coeffs == f.from_index(i)
+        assert hash(f.from_index(i)) == hash(f.element(rows[i]))
+        assert f.from_index(i) != f.element(rows[(i + 1) % q])
+        assert f.from_index(i) != f.from_index(i + 1)
+    with pytest.raises(DivisionByZero):
+        f.zero() ** -1
+    with pytest.raises(DivisionByZero):
+        f.from_index(0) ** -1
+
+
+def test_trace_of_products_does_not_wrap_above_p_127():
+    f = field_create(131, 1)
+    table = f.trace_of_products()
+    assert table.min() >= 0
+    rng = random.Random(131)
+    for _ in range(200):
+        xi, yi = rng.randrange(f.q), rng.randrange(f.q)
+        assert table[xi, yi] == (f.from_index(xi) * f.from_index(yi)).trace()
+    assert field_create(127, 1).trace_of_products().dtype == np.int8
 
 
 def test_power_table_refuses_negative_exponent():
