@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import FFElement, FiniteField, linearized_operator, solve_linear
+from .gf import FFElement, FiniteField, linearized_operator, mod_p, solve_linear
 
 
 class ZeroA(Exception):
@@ -178,7 +178,7 @@ def _exhaustive_sum(field: FiniteField, e: int, a: FFElement, b: FFElement) -> C
     """
     tr_a, tr_b = field.trace_forms([a.index, b.index])
     exps = tr_a[field.power_table(e)] + tr_b
-    return _counts_to_cyc(field.p, np.bincount(exps % field.p, minlength=field.p))
+    return _counts_to_cyc(field.p, np.bincount(mod_p(exps, field.p), minlength=field.p))
 
 
 def gauss_sum_bruteforce(field: FiniteField) -> CycInt:
@@ -310,12 +310,17 @@ def gamma_table(field: FiniteField, u: int) -> np.ndarray:
 
     The right-hand side is F_p-linear in b, so one elimination serves every b:
     gamma_b is solve_linear's particular solution, applied to all the digit
-    rows of -b^{p^u} at once.  The table is kept with the field.
+    rows of -b^{p^u} at once.  The table is kept with the field; a call that
+    finds it there returns it before anything else is set up, since
+    `gamma_of` calls this once per b.
     """
+    table = field.cached(("gamma", u))
+    if table is not None:
+        return table
 
     def build():
         op = linearized_operator(field, field.one(), u)
-        rhs = -field.digits() @ field.frob_matrix(u) % field.p
+        rhs = mod_p(-field.digits() @ field.frob_matrix(u), field.p)
         solvable, gam = op.solve_rows(rhs)
         return np.where(solvable, field.indices_of(gam), -1)
 

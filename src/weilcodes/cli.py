@@ -13,6 +13,8 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from itertools import chain
+from operator import add, itemgetter
 
 from .bounds import classify
 from .codes import (
@@ -47,8 +49,17 @@ def we_pairs(we):
     return [[w, we[w]] for w in sorted(we)]
 
 
-def cwe_pairs(cwe):
-    return [[list(comp), cwe[comp]] for comp in sorted(cwe)]
+def cwe_pairs(comps, freq):
+    """[composition, frequency] pairs of composition lists, in the order given (lexicographic)."""
+    return list(map(list, zip(comps, freq)))
+
+
+def predicted_cwe_pairs(pred):
+    """The predicted CWE as sorted pairs, or None where it is not predicted (punctured codes)."""
+    if pred.cwe is None:
+        return None
+    comps = sorted(pred.cwe)
+    return cwe_pairs(map(list, comps), map(pred.cwe.get, comps))
 
 
 def spec_dict(spec: CodeSpec) -> dict:
@@ -212,11 +223,13 @@ def run_report(spec: CodeSpec, budget) -> tuple[dict, bool]:
     ds = _scan(spec, budget)
     res = complete_weight_enumerator(ds, budget)
     pred = predict_cwe(spec)
+    cwe = cwe_pairs(res.comps.tolist(), res.freq.tolist())
+    pred_cwe = predicted_cwe_pairs(pred)
     match = {
         "length": len(ds) == pred.length,
         "dimension": res.dimension == pred.dimension,
         "we": res.we == pred.we,
-        "cwe": None if pred.cwe is None else res.cwe == pred.cwe,
+        "cwe": None if pred_cwe is None else cwe == pred_cwe,  # both lists in lex order
     }
     d = res.min_distance
     gries = None
@@ -236,13 +249,13 @@ def run_report(spec: CodeSpec, budget) -> tuple[dict, bool]:
         "length": res.length,
         "dimension": res.dimension,
         "we": we_pairs(res.we),
-        "cwe": cwe_pairs(res.cwe),
+        "cwe": cwe,
         "predicted": {
             "theorem": pred.source,
             "length": pred.length,
             "dimension": pred.dimension,
             "we": we_pairs(pred.we),
-            "cwe": None if pred.cwe is None else cwe_pairs(pred.cwe),
+            "cwe": pred_cwe,
         },
         "match": match,
         "griesmer": gries,
@@ -255,12 +268,13 @@ def run_report(spec: CodeSpec, budget) -> tuple[dict, bool]:
 def json_text(obj, indent: str = "") -> str:
     """obj written as `json.dumps(obj, indent=2)` writes it, byte for byte.
 
-    `indent` is the indentation of the line the value starts on.  Lists of
-    ints and [composition, frequency] pairs, the bulk of every report, are
-    joined in one step each; every other scalar goes to `json.dumps`, so
-    `True` stays `true` (`type(x) is int` excludes bools).  Keys must be
-    strings.  `json.dumps` with any indent runs its pure-Python encoder,
-    about three times slower than this on the reports.
+    `indent` is the indentation of the line the value starts on.  A list of
+    ints, and a list of [composition, frequency] pairs whose compositions
+    share one length (`_pair_run`), the bulk of every report, are each
+    written in one step; every other scalar goes to `json.dumps`, so `True`
+    stays `true` (`type(x) is int` excludes bools).  Keys must be strings.
+    `json.dumps` with any indent runs its pure-Python encoder, several times
+    slower than this on the reports.
     """
     t = type(obj)
     if t is int:
@@ -272,15 +286,10 @@ def json_text(obj, indent: str = "") -> str:
         sep = ",\n" + inner
         if _ONLY_INT.issuperset(map(type, obj)):
             body = sep.join(map(str, obj))
-        elif all(_is_pair(x) for x in obj):
-            deeper = inner + "  "
-            comp_sep = ",\n" + deeper + "  "
-            body = sep.join(
-                f"[\n{deeper}[\n{deeper}  {comp_sep.join(map(str, c))}\n{deeper}],\n{deeper}{k}\n{inner}]"
-                for c, k in obj
-            )
         else:
-            body = sep.join([json_text(x, inner) for x in obj])
+            body = _pair_run(obj, inner)
+            if body is None:
+                body = sep.join([json_text(x, inner) for x in obj])
         return f"[\n{inner}{body}\n{indent}]"
     if t is dict:
         if not obj:
@@ -294,18 +303,35 @@ def json_text(obj, indent: str = "") -> str:
 
 
 _ONLY_INT = frozenset((int,))
+_ONLY_LIST = frozenset((list,))
+_PAIR = frozenset((2,))
 
 
-def _is_pair(x) -> bool:
-    """x is [composition, frequency]: a non-empty list of ints and an int."""
-    return (
-        type(x) is list
-        and len(x) == 2
-        and type(x[0]) is list
-        and type(x[1]) is int
-        and bool(x[0])
-        and _ONLY_INT.issuperset(map(type, x[0]))
-    )
+def _pair_run(obj: list, inner: str) -> str | None:
+    """The items of a list of [composition, frequency] pairs, written at indentation inner.
+
+    Applies when every item is a list [c, k] with c a list of ints of one
+    common, nonzero length L and k an int; otherwise None.  The check runs
+    in C over whole columns, so its cost in Python calls does not grow with
+    the number of pairs, and the body is one %-template, one copy of the
+    L + 1 slots of a pair per item, filled with the flattened values.
+    """
+    if not (_ONLY_LIST.issuperset(map(type, obj)) and _PAIR.issuperset(map(len, obj))):
+        return None
+    comps = list(map(itemgetter(0), obj))
+    freqs = list(map(itemgetter(1), obj))
+    if not _ONLY_LIST.issuperset(map(type, comps)):
+        return None
+    lengths = set(map(len, comps))
+    if len(lengths) != 1 or 0 in lengths:
+        return None
+    values = tuple(chain.from_iterable(map(add, map(tuple, comps), zip(freqs))))
+    if not _ONLY_INT.issuperset(map(type, values)):
+        return None
+    deeper = inner + "  "
+    slots = (",\n" + deeper + "  ").join(["%d"] * lengths.pop())
+    pair = f"[\n{deeper}[\n{deeper}  {slots}\n{deeper}],\n{deeper}%d\n{inner}]"
+    return (",\n" + inner).join([pair] * len(obj)) % values
 
 
 def _emit(obj):
@@ -361,7 +387,7 @@ def cmd_enumerate(args) -> int:
                 "dimension": res.dimension,
                 "min_distance": res.min_distance,
                 "we": we_pairs(res.we),
-                "cwe": cwe_pairs(res.cwe),
+                "cwe": cwe_pairs(res.comps.tolist(), res.freq.tolist()),
             },
         )
     else:
@@ -369,8 +395,8 @@ def cmd_enumerate(args) -> int:
         print(f"[{res.length},{res.dimension},{res.min_distance}]")
         print(f"WE: {fmt_we(res.we)}")
         print("CWE:")
-        for comp in sorted(res.cwe):
-            print(f"  {comp}: {res.cwe[comp]}")
+        for comp, k in zip(res.comps.tolist(), res.freq.tolist()):
+            print(f"  {tuple(comp)}: {k}")
     return 0
 
 
@@ -387,7 +413,7 @@ def cmd_predict(args) -> int:
                 "dimension": pred.dimension,
                 "min_distance": pred.min_distance,
                 "we": we_pairs(pred.we),
-                "cwe": None if pred.cwe is None else cwe_pairs(pred.cwe),
+                "cwe": predicted_cwe_pairs(pred),
             },
         )
     else:

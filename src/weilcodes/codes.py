@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf import CompositeP, FFElement, FieldMismatch, FiniteField, cached_field, is_odd_prime
+from .gf import CompositeP, FFElement, FieldMismatch, FiniteField, cached_field, is_odd_prime, mod_p
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -131,7 +131,7 @@ def _orbit_least(f: FiniteField, scalars) -> np.ndarray:
     """Per index: the element is lex-smaller than each of its multiples c x, c in scalars."""
     d = f.digits().astype(np.int64)
     own = f.lex_rank(d)
-    return np.all([f.lex_rank(c * d % f.p) > own for c in scalars], axis=0)
+    return np.all([f.lex_rank(mod_p(c * d, f.p)) > own for c in scalars], axis=0)
 
 
 def build_defining_set(spec: CodeSpec) -> DefiningSet:
@@ -199,7 +199,7 @@ def _class_histograms(f: FiniteField, members, labels, n_classes: int) -> np.nda
     """
     p, m, q = f.p, f.m, f.q
     g, _ = _histogram_split(len(members), n_classes, p, m)
-    hist = _count_low_digits(f.digits()[members] @ f._gram() % p, labels, n_classes, p, g)
+    hist = _count_low_digits(mod_p(f.digits()[members] @ f._gram(), p), labels, n_classes, p, g)
     for k in range(g, m):  # axes (y_{m-1} .. y_{k+1}, y_k, rest, t)
         old = hist.reshape(p ** (m - 1 - k), p, p**k * n_classes, p)
         wrap = np.concatenate([old, old], axis=-1)  # wrap[..., p - s : 2p - s] is t - s mod p
@@ -222,15 +222,14 @@ def _count_low_digits(y: np.ndarray, labels, n_classes: int, p: int, g: int) -> 
     y_high = sum_{k >= g} y_k p^(k - g) keeps the digits still to be folded.
     """
     n, m = y.shape
-    # t in int16 while the sum fits, reduced as x - x // p * p: numpy's integer %
-    # is many times slower than its // by a scalar
+    # t in int16 while the sum fits
     small = np.int16 if g * (p - 1) ** 2 < 2**15 else np.int64
     y_low = y[:, :g].T.astype(small)
     digit = np.arange(p, dtype=small)[:, None]
     t = np.zeros((n, 1), dtype=small)
     for k in range(g):
         t = (y_low[k, :, None, None] * digit + t[:, None, :]).reshape(n, -1)
-    t -= t // p * p
+    t = mod_p(t, p)
     y_high = y[:, g:] @ p ** np.arange(m - g)
     key = ((y_high * p**g * n_classes + labels) * p)[:, None] + np.arange(p**g) * (n_classes * p)
     key += t
@@ -329,15 +328,24 @@ def _expand(counts: np.ndarray, inv_a: np.ndarray, inv_b: np.ndarray) -> np.ndar
 class EnumerationResult:
     """Everything the exhaustive sweep of all p^K messages yields.
 
-    `table` is the (q1, q2, p) tally of `symbol_count_table`, expanded from
-    the class tally the first time it is read.
+    The measured CWE is the pair of arrays `comps`, the distinct
+    compositions in lexicographic order ((rows, p) int64), and `freq`, the
+    number of codewords of each (int64).  `cwe` is the same enumerator as a
+    dict, composition tuple -> int in that order, built the first time it is
+    read.  `table` is the (q1, q2, p) tally of `symbol_count_table`,
+    expanded from the class tally the first time it is read.
     """
 
     length: int
     dimension: int
-    cwe: dict[tuple[int, ...], int]
+    comps: np.ndarray
+    freq: np.ndarray
     we: dict[int, int]
     _tally: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
+
+    @cached_property
+    def cwe(self) -> dict[tuple[int, ...], int]:
+        return dict(zip(map(tuple, self.comps.tolist()), self.freq.tolist()))
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -356,9 +364,11 @@ def complete_weight_enumerator(
 
     The compositions are the rows of the class tally: row (i, j) stands for
     the #{a : inv_a[a] = i} #{b : inv_b[b] = j} message pairs that share
-    it.  Equal rows are grouped and their weights summed in int64; the CWE
-    maps each composition, in lexicographic order, to its number of
-    codewords.  The budget is charged as in `_class_tally`.
+    it.  Equal rows are grouped and their weights summed in int64, giving
+    the result's `comps` (lexicographic order) and `freq`; the WE and the
+    dimension come from their zero-symbol column (`we_and_dimension`), and
+    the `cwe` dict is left until it is read.  The budget is charged as in
+    `_class_tally`.
     """
     spec = ds.spec
     p = spec.p
@@ -369,33 +379,31 @@ def complete_weight_enumerator(
                       np.bincount(inv_b, minlength=counts.shape[1]))
     freq = np.zeros(len(comps), dtype=np.int64)
     np.add.at(freq, group, weight.ravel())
-    cwe = dict(zip(map(tuple, comps.tolist()), freq.tolist()))
-    we, dim = we_and_dimension(cwe, n, spec.K, p)
+    we, dim = we_and_dimension(comps[:, 0].tolist(), freq.tolist(), n, spec.K, p)
     if dim is None:
         raise AssertionError("zero-codeword count is not a power of p")
-    return EnumerationResult(length=n, dimension=dim, cwe=cwe, we=we, _tally=(counts, inv_a, inv_b))
+    return EnumerationResult(length=n, dimension=dim, comps=comps, freq=freq, we=we,
+                             _tally=(counts, inv_a, inv_b))
 
 
-def we_from_cwe(cwe: dict[tuple[int, ...], int], n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for comp, k in cwe.items():
-        out[n - comp[0]] = out.get(n - comp[0], 0) + k
-    return out
-
-
-def we_and_dimension(cwe: dict[tuple[int, ...], int], n: int, K: int, p: int):
+def we_and_dimension(zeros, freq, n: int, K: int, p: int):
     """(weight enumerator, dimension) of a length-n CWE over the p^K messages.
 
-    The zero composition's frequency is the size p^{K - dim} of the encoding
-    kernel; the dimension is None when that frequency is not a power of p.
+    zeros[i] is the number of 0 symbols in the i-th composition and freq[i]
+    its number of codewords, as Python ints; a codeword's weight is n minus
+    its zeros, and the sums are exact.  The weight-0 frequency, that of the
+    zero composition (n, 0, ..., 0), is the size p^{K - dim} of the encoding
+    kernel; the dimension is None when it is not a power of p.
     """
-    we = we_from_cwe(cwe, n)
-    z = cwe.get((n,) + (0,) * (p - 1), 0)
+    we: dict[int, int] = {}
+    for z, k in zip(zeros, freq):
+        we[n - z] = we.get(n - z, 0) + k
+    kernel = we.get(0, 0)
     dim = K
-    while z > 1:
-        if z % p:
+    while kernel > 1:
+        if kernel % p:
             return we, None
-        z //= p
+        kernel //= p
         dim -= 1
     return we, dim
 

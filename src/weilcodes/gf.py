@@ -62,6 +62,19 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
+def mod_p(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p for an integer array, as x - (x // p) p, in a new array.
+
+    numpy divides an integer array by a scalar through a precomputed divisor,
+    but its % by a scalar is several times slower; both round toward minus
+    infinity, so the values agree, negative entries included.
+    """
+    r = x // p
+    r *= p
+    np.subtract(x, r, out=r)
+    return r
+
+
 def _prime_factors(n):
     out = []
     d = 2
@@ -216,6 +229,7 @@ class FiniteField:
         self.m = m
         self.q = p**m
         self.modulus = modulus
+        self._hash = hash((p, m, modulus))
         self._caches: dict = {}
 
     def __eq__(self, other):
@@ -225,15 +239,18 @@ class FiniteField:
         )
 
     def __hash__(self):
-        return hash((self.p, self.m, self.modulus))
+        return self._hash
 
     def __repr__(self):
         return f"FiniteField(p={self.p}, m={self.m})"
 
-    def cached(self, key, build):
-        """Derived data of this field: build() on the first use of key, then kept with the field."""
+    def cached(self, key, build=None):
+        """Derived data of this field: build() on the first use of key, then kept with the field.
+
+        Without build, a lookup alone: the data kept under key, or None.
+        """
         val = self._caches.get(key)
-        if val is None:
+        if val is None and build is not None:
             val = self._caches[key] = build()
         return val
 
@@ -291,7 +308,7 @@ class FiniteField:
 
         def build():
             idx = np.arange(self.q, dtype=np.int64)
-            cols = [idx // self.p**k % self.p for k in range(self.m)]
+            cols = [mod_p(idx // self.p**k, self.p) for k in range(self.m)]
             return np.stack(cols, axis=1).astype(np.int16)
 
         return self.cached("digits", build)
@@ -319,7 +336,7 @@ class FiniteField:
         prod = np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-1] + (2 * m - 1,), dtype=np.int64)
         for i in range(m):
             prod[..., i : i + m] += a[..., i : i + 1] * b
-        return (prod % self.p) @ self._powers_of_x() % self.p
+        return mod_p(mod_p(prod, self.p) @ self._powers_of_x(), self.p)
 
     def frob_matrix(self, k: int = 1) -> np.ndarray:
         """m x m matrix of x -> x^{p^k} on digit rows (x F): row i holds (X^i)^{p^k}."""
@@ -359,7 +376,7 @@ class FiniteField:
     def trace_forms(self, indices) -> np.ndarray:
         """Row r holds Tr(x y) for the element x of index indices[r] and every index y (int64)."""
         d = self.digits()
-        return d[indices] @ self._gram() @ d.T % self.p
+        return mod_p(d[indices] @ self._gram() @ d.T, self.p)
 
     def lex_rank(self, rows) -> np.ndarray:
         """Position of each digit row in the lexicographic order of coefficient tuples."""
@@ -375,13 +392,13 @@ class FiniteField:
         """Tr(x) for every index x (int16)."""
         return self.cached(
             "trace_vec",
-            lambda: (self.digits() @ np.array(self._trace_functional()) % self.p).astype(np.int16),
+            lambda: mod_p(self.digits() @ np.array(self._trace_functional()), self.p).astype(np.int16),
         )
 
     def frob_table(self) -> np.ndarray:
         """x^p for every index x, as an index vector."""
         return self.cached(
-            "frob_vec", lambda: self.indices_of(self.digits() @ self.frob_matrix(1) % self.p)
+            "frob_vec", lambda: self.indices_of(mod_p(self.digits() @ self.frob_matrix(1), self.p))
         )
 
     def eta_table(self) -> np.ndarray:
@@ -420,7 +437,7 @@ class FiniteField:
                             squares.append(self.mulmod(squares[-1], squares[-1]))
                         bits = [sq for j, sq in enumerate(squares) if d >> j & 1]
                         of_digit[d] = reduce(self.mulmod, bits)
-                    term = of_digit[d] @ self.frob_matrix(k) % self.p
+                    term = mod_p(of_digit[d] @ self.frob_matrix(k), self.p)
                     out = term if out is None else self.mulmod(out, term)
                 k += 1
             if out is None:  # e = 0
@@ -504,7 +521,8 @@ class FFElement:
     def _check(self, other):
         if not isinstance(other, FFElement):
             raise TypeError(f"expected FFElement, got {type(other).__name__}")
-        if other.field != self.field:
+        # the same field object is the common case; only copies need the value compare
+        if other.field is not self.field and other.field != self.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
     def __add__(self, other):
@@ -566,14 +584,15 @@ class FFElement:
         return not any(self._coeffs)
 
     def __eq__(self, other):
-        if not isinstance(other, FFElement) or self.field != other.field:
+        if not isinstance(other, FFElement) or (other.field is not self.field and other.field != self.field):
             return False
         if self._index is not None and other._index is not None:
             return self._index == other._index
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.field, self.index))
+        # equal fields hash alike, and the index is the same for either representation
+        return hash((self.field._hash, self.index))
 
     def __repr__(self):
         return f"FFElement({self.field!r}, {self.coeffs})"

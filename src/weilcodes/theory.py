@@ -21,7 +21,7 @@ import numpy as np
 
 from .charsum import GaussScale, eta1, gamma_of, gamma_table
 from .codes import CodeSpec, we_and_dimension
-from .gf import FFElement
+from .gf import FFElement, mod_p
 
 
 class WrongRegime(Exception):
@@ -316,7 +316,7 @@ def predict_cwe(spec: CodeSpec) -> PredictedEnumerator:
     if sum(cwe.values()) != p**spec.K:
         raise UnmatchedCase("class counts do not partition the message space")
 
-    we, dim = we_and_dimension(cwe, n, spec.K, p)
+    we, dim = we_and_dimension([comp[0] for comp in cwe], cwe.values(), n, spec.K, p)
     if dim is None:
         raise UnmatchedCase("zero-composition frequency is not a power of p")
 
@@ -346,7 +346,7 @@ def predicted_table(spec: CodeSpec) -> np.ndarray:
     gam = gamma_table(f2, spec.u)
     solvable = gam >= 0
     tb = np.where(solvable, f2.trace_table()[f2.power_table(p**spec.u + 1)[gam]], 0)
-    T = (ta[:, None] + tb[None, :]) % p
+    T = mod_p(ta[:, None] + tb[None, :], p)
     comp_by_t = np.array([_composition(full, True, t) for t in range(p)], dtype=np.int64)
     out = comp_by_t[T]
     if not solvable.all():

@@ -152,6 +152,19 @@ def test_measurement_never_materializes_points(capsys, monkeypatch, argv):
     assert out
 
 
+def test_verify_punctured_json_never_builds_the_cwe_dict(capsys, monkeypatch):
+    def no_dict(res):
+        raise AssertionError("measured CWE dict built")
+
+    monkeypatch.setattr(codes.EnumerationResult, "cwe", property(no_dict))
+    argv = ["verify", "--p", "5", "--m1", "3", "--m2", "3", "--u", "1", "--lambda", "1", "--punctured"]
+    code, out, _ = run(capsys, *argv, "--format", "json", "--budget", "0")
+    assert code == 0
+    report = json.loads(out)
+    assert len(report["cwe"]) > 1000
+    assert out == json.dumps(report, indent=2) + "\n"
+
+
 def test_construct_dump_checks_the_full_budget(capsys):
     # the dump encodes all 81 codewords of length 20: 1620 symbol evaluations
     base = ["construct", "--p", "3", "--m1", "2", "--m2", "2", "--u", "1", "--lambda", "0", "--dump"]
@@ -294,9 +307,16 @@ def test_default_sweep_is_the_acceptance_sweep_and_verifies(capsys):
         {"say \"hi\"": "back\\slash \"quoted\"", "n": "déjà vu ζ_p ✓"},
         {"points": [[[0, 1], [2, 0]], [[1, 1], [0, 2]]], "empty": {}, "none": [None]},
         [[1, 2], 3, [[4], 5], (6, 7)],
+        [[[2, 1, 0], 3], [[4, 0], 1], [[0, 0, 5], 2]],
+        [[[2, 1, 0], 3], [[0, 3, 0], 1], [0, 1], [[1, 1, 1], 4]],
+        [[[2, -1, 0], 3], [[0, 3, 0], -7]],
+        [[[2**64 + 1, 0], 2**63], [[0, 2**70], 1]],
+        {"runs": [[[[[1, 2], 3], [[3, 0], 9]], [[[0, 0, 1], 1]]]]},
     ],
     ids=["empty-list", "empty-dict", "none", "bools-in-ints", "bool-frequency",
-         "bool-in-composition", "empty-composition", "strings", "nested-points", "mixed"],
+         "bool-in-composition", "empty-composition", "strings", "nested-points", "mixed",
+         "unequal-compositions", "non-pair-after-pairs", "negative", "beyond-int64",
+         "nested-pair-runs"],
 )
 def test_json_text_equals_json_dumps_indent_2(obj):
     assert json_text(obj) == json.dumps(obj, indent=2)
