@@ -231,13 +231,6 @@ def gauss_sum_closed(p: int, m: int) -> CycInt:
     return coef * g1(p)
 
 
-def _scaled_zeta(p: int, scalar: int, g1_power: int, e: int) -> CycInt:
-    out = CycInt.zeta(p, e) * scalar
-    if g1_power:
-        out = out * g1(p)
-    return out
-
-
 def _eta_scalar_ext(field: FiniteField, x: int) -> int:
     # quadratic character of a prime-field value seen inside F_{p^m}
     if x % field.p == 0:
@@ -347,17 +340,11 @@ def weil_sum_scalar_closed(field: FiniteField, u: int, z1: int, z2: int, b: FFEl
         raise ZeroA("z1 must be a unit")
     v = math.gcd(m, u)
     gam = gamma_of(field, u, b) if z2 else field.zero()
-    if (m // v) % 2 == 1:
-        t2 = (gam ** (p**u + 1)).trace()
-        e = (-z2 * z2 * pow(z1, p - 2, p) * t2) % p
-        return gauss_sum_closed(p, m) * _eta_scalar_ext(field, z1) * CycInt.zeta(p, e)
-    s = m // 2
-    if (m // v) % 4 == 2:
-        t2 = (gam ** (p**u + 1)).trace()
-        e = (-z2 * z2 * pow(z1, p - 2, p) * t2) % p
-        return _scaled_zeta(p, -(p**s), 0, e)
-    if gam is None:
+    if gam is None:  # only when m/v = 0 mod 4
         return CycInt.zero(p)
     t2 = (gam ** (p**u + 1)).trace()
-    e = (-z2 * z2 * pow(z1, p - 2, p) * t2) % p
-    return _scaled_zeta(p, -(p ** (s + v)), 0, e)
+    zeta = CycInt.zeta(p, -z2 * z2 * pow(z1, p - 2, p) * t2)
+    if (m // v) % 2 == 1:
+        return gauss_sum_closed(p, m) * _eta_scalar_ext(field, z1) * zeta
+    s = m // 2
+    return zeta * -(p ** (s if (m // v) % 4 == 2 else s + v))

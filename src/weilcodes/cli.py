@@ -26,6 +26,7 @@ from .codes import (
     check_budget,
     complete_weight_enumerator,
     dump_lines,
+    min_weight,
 )
 from .gf import GFError
 from .theory import case_of, predict_cwe
@@ -134,14 +135,16 @@ def resolve_budget(args) -> int | None:
     if path is None and os.path.exists("weilcodes.cfg"):
         path = "weilcodes.cfg"
     if path:
-        with open(path) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, _, value = line.partition("=")
-                if key.strip() == "budget":
-                    return norm(value.strip(), path)
+        try:
+            with open(path) as fh:
+                lines = fh.readlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = exc.reason if isinstance(exc, UnicodeDecodeError) else exc.strerror
+            raise _ArgumentError(f"cannot read config file {path}: {reason}") from None
+        for line in lines:
+            key, _, value = line.split("#", 1)[0].partition("=")
+            if key.strip() == "budget":
+                return norm(value.strip(), path)
     return DEFAULT_BUDGET
 
 
@@ -217,16 +220,20 @@ def _scan(spec: CodeSpec, budget) -> DefiningSet:
     return build_defining_set(spec)
 
 
+def _measure(spec: CodeSpec, budget):
+    """The exhaustive enumeration of spec's code, charged to the budget."""
+    return complete_weight_enumerator(_scan(spec, budget), budget)
+
+
 def run_report(spec: CodeSpec, budget) -> tuple[dict, bool]:
     """Measure, predict, compare; returns (report, all-facets-match)."""
     t0 = time.monotonic()
-    ds = _scan(spec, budget)
-    res = complete_weight_enumerator(ds, budget)
+    res = _measure(spec, budget)
     pred = predict_cwe(spec)
     cwe = cwe_pairs(res.comps.tolist(), res.freq.tolist())
     pred_cwe = predicted_cwe_pairs(pred)
     match = {
-        "length": len(ds) == pred.length,
+        "length": res.length == pred.length,
         "dimension": res.dimension == pred.dimension,
         "we": res.we == pred.we,
         "cwe": None if pred_cwe is None else cwe == pred_cwe,  # both lists in lex order
@@ -234,16 +241,8 @@ def run_report(spec: CodeSpec, budget) -> tuple[dict, bool]:
     d = res.min_distance
     gries = None
     if res.dimension >= 1 and d >= 1:
-        rep = classify(spec.p, res.length, res.dimension, d)
-        gries = {
-            "p": rep.p,
-            "n": rep.n,
-            "k": rep.k,
-            "d": rep.d,
-            "g_of_d": rep.g_of_d,
-            "max_d_allowed": rep.max_d_allowed,
-            "classification": rep.classification,
-        }
+        # the dataclass's field order is the report's key order
+        gries = dict(vars(classify(spec.p, res.length, res.dimension, d)))
     report = {
         "spec": spec_dict(spec),
         "length": res.length,
@@ -263,6 +262,11 @@ def run_report(spec: CodeSpec, budget) -> tuple[dict, bool]:
     }
     ok = all(v for v in match.values() if v is not None)
     return report, ok
+
+
+def _parameters(report: dict) -> list[int]:
+    """[n, k, d] of a report's measured code."""
+    return [report["length"], report["dimension"], min_weight(w for w, _ in report["we"])]
 
 
 def json_text(obj, indent: str = "") -> str:
@@ -378,7 +382,7 @@ def cmd_enumerate(args) -> int:
     with _user_input():
         spec = spec_from_args(args)
     budget = resolve_budget(args)
-    res = complete_weight_enumerator(_scan(spec, budget), budget)
+    res = _measure(spec, budget)
     if args.format == "json":
         _emit(
             {
@@ -440,17 +444,16 @@ def cmd_verify(args) -> int:
         reports.append(report)
         all_ok &= ok
         if args.format == "text":
-            we = {w: a for w, a in report["we"]}
+            n, k, d = _parameters(report)
             gr = report["griesmer"]
             label = gr["classification"] if gr else "-"
             print(
-                f"{_spec_line(spec)}: [{report['length']},{report['dimension']},"
-                f"{min((w for w in we if w > 0), default=0)}] theorem "
+                f"{_spec_line(spec)}: [{n},{k},{d}] theorem "
                 f"{report['predicted']['theorem']} griesmer={label} "
                 f"match={'yes' if ok else 'NO'} ({report['timing_ms']}ms)"
             )
             if not args.sweep:
-                print(f"WE: {fmt_we(we)}")
+                print(f"WE: {fmt_we(dict(report['we']))}")
     if args.format == "json":
         _emit(reports if args.sweep is not None else reports[0])
     elif args.sweep is not None:
@@ -460,61 +463,43 @@ def cmd_verify(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    which = args.which
-    base = which.rstrip("p")
-    punctured = which.endswith("p")
+    base = args.which.rstrip("p")
+    punctured = args.which.endswith("p")
     budget = resolve_budget(args)
-    rows = []
-    all_ok = True
-    for lam, m1, m2, u in _TABLE_ROWS[base]:
-        spec = CodeSpec(3, m1, m2, u, lam, punctured)
-        res = complete_weight_enumerator(_scan(spec, budget), budget)
-        pred = predict_cwe(spec)
-        ok = res.we == pred.we and res.length == pred.length and res.dimension == pred.dimension
-        all_ok &= ok
-        rows.append((spec, res, pred, ok))
+    specs = [CodeSpec(3, m1, m2, u, lam, punctured) for lam, m1, m2, u in _TABLE_ROWS[base]]
+    rows = [run_report(spec, budget) for spec in specs]
     if args.format == "json":
         _emit(
             [
                 {
-                    "spec": spec_dict(spec),
-                    "parameters": [res.length, res.dimension, res.min_distance],
-                    "we": we_pairs(res.we),
-                    "theorem": pred.source,
+                    "spec": report["spec"],
+                    "parameters": _parameters(report),
+                    "we": report["we"],
+                    "theorem": report["predicted"]["theorem"],
                     "match": ok,
                 }
-                for spec, res, pred, ok in rows
+                for report, ok in rows
             ],
         )
     else:
-        title = f"Table {base}{'°' if punctured else ''} (recomputed)"
-        print(title)
+        print(f"Table {base}{'°' if punctured else ''} (recomputed)")
         print(f"{'λ':>2} {'m1':>3} {'m2':>3} {'u':>2} {'m2/v':>4} {'K':>2}  parameters      weight enumerator")
-        for spec, res, pred, ok in rows:
-            params = f"[{res.length},{res.dimension},{res.min_distance}]"
+        for spec, (report, ok) in zip(specs, rows):
+            n, k, d = _parameters(report)
+            params = f"[{n},{k},{d}]"
             print(
                 f"{spec.lam:>2} {spec.m1:>3} {spec.m2:>3} {spec.u:>2} "
-                f"{spec.m2 // spec.v:>4} {spec.K:>2}  {params:<15} {fmt_we(res.we)}"
+                f"{spec.m2 // spec.v:>4} {spec.K:>2}  {params:<15} {fmt_we(dict(report['we']))}"
                 + ("" if ok else "   [MISMATCH]")
             )
-    return 0 if all_ok else 1
+    return 0 if all(ok for _, ok in rows) else 1
 
 
 def cmd_griesmer(args) -> int:
     with _user_input():
         rep = classify(args.p, args.n, args.k, args.d)
     if args.format == "json":
-        _emit(
-            {
-                "p": rep.p,
-                "n": rep.n,
-                "k": rep.k,
-                "d": rep.d,
-                "g_of_d": rep.g_of_d,
-                "max_d_allowed": rep.max_d_allowed,
-                "classification": rep.classification,
-            },
-        )
+        _emit(vars(rep))
     else:
         print(
             f"[{rep.n},{rep.k},{rep.d}] over F_{rep.p}: g({rep.k},{rep.d}) = {rep.g_of_d}, "
@@ -523,20 +508,23 @@ def cmd_griesmer(args) -> int:
     return 0
 
 
-def _add_spec_args(sub, need_spec=True):
-    if need_spec:
-        sub.add_argument("--p", type=int, required=True)
-        sub.add_argument("--m1", type=int, required=True)
-        sub.add_argument("--m2", type=int, required=True)
-        sub.add_argument("--u", type=int, required=True)
-        sub.add_argument("--lambda", dest="lam", type=int, required=True,
-                         help="level of the defining set; any integer, reduced mod p")
-        sub.add_argument("--punctured", action="store_true")
-        sub.add_argument("--modulus1", help="comma-separated coefficients, low degree first")
-        sub.add_argument("--modulus2", help="comma-separated coefficients, low degree first")
+def _add_spec_args(sub, required=True):
+    """The flags that name one spec; `verify` makes them optional, as --sweep can stand in."""
+    for name in ("p", "m1", "m2", "u"):
+        sub.add_argument(f"--{name}", type=int, required=required)
+    sub.add_argument("--lambda", dest="lam", type=int, required=required,
+                     help="level of the defining set; any integer, reduced mod p")
+    sub.add_argument("--punctured", action="store_true")
+    for name in ("modulus1", "modulus2"):
+        sub.add_argument(f"--{name}", help="comma-separated coefficients, low degree first")
+
+
+def _add_output_args(sub, measures=True):
+    """--format, and for the commands that enumerate a code, its --budget and --config."""
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--budget", type=int, help="operation budget; 0 = unlimited")
-    sub.add_argument("--config", help="key=value config file (budget=...)")
+    if measures:
+        sub.add_argument("--budget", type=int, help="operation budget; 0 = unlimited")
+        sub.add_argument("--config", help="key=value config file (budget=...)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -549,35 +537,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("construct", help="build the defining set")
     _add_spec_args(sub)
+    _add_output_args(sub)
     sub.add_argument("--dump", action="store_true", help="emit one line per codeword")
     sub.set_defaults(func=cmd_construct)
 
     sub = subs.add_parser("enumerate", help="brute-force weight enumerators")
     _add_spec_args(sub)
+    _add_output_args(sub)
     sub.set_defaults(func=cmd_enumerate)
 
     sub = subs.add_parser("predict", help="closed-form weight enumerators")
     _add_spec_args(sub)
+    _add_output_args(sub, measures=False)
     sub.set_defaults(func=cmd_predict)
 
     sub = subs.add_parser("verify", help="measured vs predicted comparison")
-    sub.add_argument("--p", type=int)
-    sub.add_argument("--m1", type=int)
-    sub.add_argument("--m2", type=int)
-    sub.add_argument("--u", type=int)
-    sub.add_argument("--lambda", dest="lam", type=int)
-    sub.add_argument("--punctured", action="store_true")
-    sub.add_argument("--modulus1")
-    sub.add_argument("--modulus2")
+    _add_spec_args(sub, required=False)
     sub.add_argument("--sweep", help="range spec, e.g. 'p=3;m1=1-2;m2=1-3;u=1-2;lambda=all'")
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--budget", type=int)
-    sub.add_argument("--config")
+    _add_output_args(sub)
     sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("tables", help="recompute the example tables")
     sub.add_argument("--which", choices=("12", "12p", "13", "13p"), required=True)
-    _add_spec_args(sub, need_spec=False)
+    _add_output_args(sub)
     sub.set_defaults(func=cmd_tables)
 
     sub = subs.add_parser("griesmer", help="Griesmer bound classification")
@@ -585,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--d", type=int, required=True)
-    sub.add_argument("--format", choices=("text", "json"), default="text")
+    _add_output_args(sub, measures=False)
     sub.set_defaults(func=cmd_griesmer)
 
     return parser

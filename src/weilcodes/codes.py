@@ -353,8 +353,7 @@ class EnumerationResult:
 
     @property
     def min_distance(self) -> int:
-        nz = [w for w in self.we if w > 0]
-        return min(nz) if nz else 0
+        return min_weight(self.we)
 
 
 def complete_weight_enumerator(
@@ -384,6 +383,11 @@ def complete_weight_enumerator(
         raise AssertionError("zero-codeword count is not a power of p")
     return EnumerationResult(length=n, dimension=dim, comps=comps, freq=freq, we=we,
                              _tally=(counts, inv_a, inv_b))
+
+
+def min_weight(weights) -> int:
+    """The least nonzero weight among weights (a linear code's minimum distance), 0 if none."""
+    return min((w for w in weights if w > 0), default=0)
 
 
 def we_and_dimension(zeros, freq, n: int, K: int, p: int):

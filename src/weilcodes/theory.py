@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charsum import GaussScale, eta1, gamma_of, gamma_table
-from .codes import CodeSpec, we_and_dimension
+from .codes import CodeSpec, min_weight, we_and_dimension
 from .gf import FFElement, mod_p
 
 
@@ -109,10 +109,18 @@ def predict_length(spec: CodeSpec) -> int:
         else:
             n = p ** (K - 1) - W * p**E
     if spec.punctured:
-        div = (p - 1) if spec.lam == 0 else 2
+        div = _orbit_size(spec)
         assert n % div == 0
         n //= div
     return n
+
+
+def _orbit_size(spec: CodeSpec) -> int:
+    """Size of the orbits of D_lambda that puncturing keeps one point of.
+
+    The orbits are {c x : c in F_p*} for lambda = 0, and {x, -x} otherwise.
+    """
+    return spec.p - 1 if spec.lam == 0 else 2
 
 
 # ---------------------------------------------------------------------------
@@ -141,53 +149,44 @@ def tab(spec: CodeSpec, a: FFElement, b: FFElement) -> TAB:
 def _composition(spec: CodeSpec, solvable: bool, t: int | None) -> tuple[int, ...]:
     """N_{lambda,rho}(a,b) for rho = 0..p-1, for a nonzero pair in class (solvable, T = t).
 
-    For lambda = 0 the excluded origin is NOT yet removed here; callers
-    subtract 1 from the rho = 0 slot.
+    For lambda = 0 the origin, which D_0 excludes but the formulas count, is
+    already taken off the rho = 0 slot.
     """
     p, K = spec.p, spec.K
     lam = spec.lam
     W, E = _case_signs(spec)
     base = p ** (K - 2)
     k_odd = K % 2 == 1
-    if not solvable:
-        if lam == 0:
+    if lam == 0:
+        # (rho = 0 slot, every other slot), origin included
+        if not solvable:
             # K odd: flat base; K even: base + (p-1) W p^{E-1} in every slot
-            val = base if k_odd else base + (p - 1) * W * p ** (E - 1)
+            zero = rest = base if k_odd else base + (p - 1) * W * p ** (E - 1)
+        elif t == 0:
+            zero, rest = base if k_odd else base + (p - 1) * W * p**E, base
+        elif k_odd:
+            # adopted sign: rho = 0 gets base - eta1(-T)(p-1) W p^E in all three
+            # K-odd regimes; the opposite sign in the m2/v-odd regime fails both
+            # Pless moments and the direct tally
+            s = eta1(p, -t) * W
+            zero, rest = base - s * (p - 1) * p**E, base + s * p**E
         else:
-            val = base - eta1(p, -lam) * W * p**E if k_odd else base - W * p ** (E - 1)
-        return (val,) * p
+            zero, rest = base, base + W * p**E
+        return (zero - 1,) + (rest,) * (p - 1)
+    if not solvable:
+        return (base - eta1(p, -lam) * W * p**E if k_odd else base - W * p ** (E - 1),) * p
     if t == 0:
-        if lam == 0:
-            if k_odd:
-                return (base,) * p
-            return (base + (p - 1) * W * p**E,) + (base,) * (p - 1)
         if k_odd:
             return (base - eta1(p, -lam) * W * p ** (E + 1),) + (base,) * (p - 1)
         # adopted sign: -W in every even-K regime; +W in the 2mod4/m1-even case
         # breaks the column-sum law (a direct tally of the [30,4,18] code gives
         # composition (12,9,9), not (6,9,9))
         return (base - W * p**E,) + (base,) * (p - 1)
-    if lam == 0:
-        s = eta1(p, -t) * W
-        if k_odd:
-            # adopted sign: rho = 0 gets base - eta1(-T)(p-1) W p^E in all three
-            # K-odd regimes; the opposite sign in the m2/v-odd regime fails both
-            # Pless moments and the direct tally
-            return (base - s * (p - 1) * p**E,) + (base + s * p**E,) * (p - 1)
-        return (base,) + (base + W * p**E,) * (p - 1)
     if k_odd:
         s = eta1(p, -t) * W
-        out = []
-        for rho in range(p):
-            if (rho * rho - 4 * lam * t) % p == 0:
-                out.append(base - s * (p - 1) * p**E)
-            else:
-                out.append(base + s * p**E)
-        return tuple(out)
-    out = []
-    for rho in range(p):
-        out.append(base + eta1(p, rho * rho - 4 * lam * t) * W * p**E)
-    return tuple(out)
+        return tuple(base - s * (p - 1) * p**E if (rho * rho - 4 * lam * t) % p == 0 else base + s * p**E
+                     for rho in range(p))
+    return tuple(base + eta1(p, rho * rho - 4 * lam * t) * W * p**E for rho in range(p))
 
 
 def predict_symbol_counts(spec: CodeSpec, a: FFElement, b: FFElement) -> tuple[int, ...]:
@@ -195,10 +194,7 @@ def predict_symbol_counts(spec: CodeSpec, a: FFElement, b: FFElement) -> tuple[i
     if a.is_zero() and b.is_zero():
         raise ValueError("(a, b) = (0, 0) is the zero codeword, not covered by the formulas")
     info = tab(spec, a, b)
-    comp = _composition(spec, info.solvable, info.value)
-    if spec.lam == 0:
-        comp = (comp[0] - 1,) + comp[1:]
-    return comp
+    return _composition(spec, info.solvable, info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +261,7 @@ class PredictedEnumerator:
 
     @property
     def min_distance(self) -> int:
-        nz = [w for w in self.we if w > 0]
-        return min(nz) if nz else 0
+        return min_weight(self.we)
 
 
 def _classes(spec: CodeSpec):
@@ -297,7 +292,6 @@ def predict_cwe(spec: CodeSpec) -> PredictedEnumerator:
     full = spec.full()
     p = spec.p
     n = predict_length(full)
-    origin_shift = 1 if spec.lam == 0 else 0
     cwe: dict[tuple[int, ...], int] = {}
 
     def add(comp, k):
@@ -308,8 +302,6 @@ def predict_cwe(spec: CodeSpec) -> PredictedEnumerator:
 
     add((n,) + (0,) * (p - 1), 1)
     for k, comp in _classes(full):
-        if origin_shift:
-            comp = (comp[0] - 1,) + comp[1:]
         if sum(comp) != n:
             raise UnmatchedCase(f"composition {comp} does not sum to length {n}")
         add(comp, k)
@@ -323,7 +315,7 @@ def predict_cwe(spec: CodeSpec) -> PredictedEnumerator:
     thm = case_of(spec).theorem
     if not spec.punctured:
         return PredictedEnumerator(n, dim, cwe, we, thm)
-    div = (p - 1) if spec.lam == 0 else 2
+    div = _orbit_size(spec)
     swe: dict[int, int] = {}
     for w, k in we.items():
         assert w % div == 0
@@ -351,7 +343,5 @@ def predicted_table(spec: CodeSpec) -> np.ndarray:
     out = comp_by_t[T]
     if not solvable.all():
         out[:, ~solvable, :] = np.array(_composition(full, False, None), dtype=np.int64)
-    if spec.lam == 0:
-        out[:, :, 0] -= 1
     out[0, 0] = np.array((n,) + (0,) * (p - 1), dtype=np.int64)
     return out

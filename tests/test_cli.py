@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, JSON schema and round-trip, budget plumbing."""
 
+import dataclasses
 import json
 
 import pytest
@@ -222,6 +223,54 @@ def test_budget_config_file_not_an_integer_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["missing", "directory", "not-text"])
+def test_unreadable_config_file_exits_2(capsys, tmp_path, monkeypatch, where):
+    argv = ["enumerate", "--p", "3", "--m1", "1", "--m2", "1", "--u", "1", "--lambda", "0"]
+    if where == "missing":
+        argv += ["--config", str(tmp_path / "missing.cfg")]
+    elif where == "directory":  # the default config file is a directory
+        (tmp_path / "weilcodes.cfg").mkdir()
+        monkeypatch.chdir(tmp_path)
+    else:
+        cfg = tmp_path / "weilcodes.cfg"
+        cfg.write_bytes(b"budget = 5\n\xff\xfe\n")
+        argv += ["--config", str(cfg)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read config file ") and err.count("\n") == 1
+
+
+def test_predict_takes_no_budget(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--p", "3", "--m1", "1", "--m2", "1", "--u", "1", "--lambda", "0",
+              "--budget", "0"])
+    assert exc.value.code == 2
+
+
+def test_tables_catch_a_wrong_predicted_cwe(capsys, monkeypatch):
+    # one predicted codeword moves from (c0, c1, c2) to (c0, c1 - 1, c2 + 1):
+    # the length, the dimension and the WE stay right, only the CWE is wrong
+    predict = cli.predict_cwe
+
+    def planted(spec):
+        pred = predict(spec)
+        cwe = dict(pred.cwe)
+        c0, c1, c2 = comp = next(c for c in cwe if c[1] > 0)
+        moved = (c0, c1 - 1, c2 + 1)
+        cwe[comp] -= 1
+        cwe[moved] = cwe.get(moved, 0) + 1
+        return dataclasses.replace(pred, cwe={c: k for c, k in cwe.items() if k})
+
+    monkeypatch.setattr(cli, "predict_cwe", planted)
+    code, out, _ = run(capsys, "tables", "--which", "13")
+    assert code == 1
+    assert out.count("   [MISMATCH]") == 6
+    code, out, _ = run(capsys, "tables", "--which", "13", "--format", "json")
+    assert code == 1
+    assert [row["match"] for row in json.loads(out)] == [False] * 6
 
 
 def test_tables_12_and_13_text(capsys):
