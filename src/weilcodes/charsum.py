@@ -191,12 +191,8 @@ def gauss_sum_bruteforce(field: FiniteField) -> CycInt:
 
 
 def orthogonality_sum(field: FiniteField, b: FFElement) -> CycInt:
-    """Sum of zeta^{Tr(bx)} over x; brute force, asserted against the closed form."""
-    p = field.p
-    val = _exhaustive_sum(field, 1, field.zero(), b)
-    expected = CycInt.integer(p, field.q) if b.is_zero() else CycInt.zero(p)
-    assert val == expected, "orthogonality relation violated"
-    return val
+    """Exhaustive sum of zeta^{Tr(bx)} over every x of the field."""
+    return _exhaustive_sum(field, 1, field.zero(), b)
 
 
 def weil_sum_bruteforce(field: FiniteField, u: int, a: FFElement, b: FFElement) -> CycInt:
@@ -326,6 +322,16 @@ def gamma_of(field: FiniteField, u: int, b: FFElement) -> FFElement | None:
     return None if gi < 0 else FFElement(field, None, gi)
 
 
+def gamma_trace_table(field: FiniteField, u: int) -> np.ndarray:
+    """Tr(gamma_b^{p^u+1}) for every b index, -1 where gamma_b does not exist; kept with the field."""
+
+    def build():
+        gam = gamma_table(field, u)
+        return np.where(gam >= 0, field.trace_table()[field.power_table(field.p**u + 1)[gam]], -1)
+
+    return field.cached(("gamma_trace", u), build)
+
+
 def weil_sum_scalar_closed(field: FiniteField, u: int, z1: int, z2: int, b: FFElement) -> CycInt:
     """S_{m,u}(z1, z2 b) for prime-field units z1, z2: the restricted fast path.
 
@@ -339,10 +345,9 @@ def weil_sum_scalar_closed(field: FiniteField, u: int, z1: int, z2: int, b: FFEl
     if z1 == 0:
         raise ZeroA("z1 must be a unit")
     v = math.gcd(m, u)
-    gam = gamma_of(field, u, b) if z2 else field.zero()
-    if gam is None:  # only when m/v = 0 mod 4
+    t2 = gamma_trace_table(field, u).item(b.index) if z2 else 0  # Tr(gamma_b^{p^u+1})
+    if t2 < 0:  # gamma_b is missing, only when m/v = 0 mod 4
         return CycInt.zero(p)
-    t2 = (gam ** (p**u + 1)).trace()
     zeta = CycInt.zeta(p, -z2 * z2 * pow(z1, p - 2, p) * t2)
     if (m // v) % 2 == 1:
         return gauss_sum_closed(p, m) * _eta_scalar_ext(field, z1) * zeta

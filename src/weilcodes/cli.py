@@ -435,8 +435,9 @@ def cmd_predict(args) -> int:
 
 def cmd_verify(args) -> int:
     budget = resolve_budget(args)
+    single = args.sweep is None
     with _user_input():
-        specs = parse_sweep(args.sweep) if args.sweep is not None else [spec_from_args(args)]
+        specs = [spec_from_args(args)] if single else parse_sweep(args.sweep)
     reports = []
     all_ok = True
     for spec in specs:
@@ -452,11 +453,11 @@ def cmd_verify(args) -> int:
                 f"{report['predicted']['theorem']} griesmer={label} "
                 f"match={'yes' if ok else 'NO'} ({report['timing_ms']}ms)"
             )
-            if not args.sweep:
+            if single:
                 print(f"WE: {fmt_we(dict(report['we']))}")
     if args.format == "json":
-        _emit(reports if args.sweep is not None else reports[0])
-    elif args.sweep is not None:
+        _emit(reports[0] if single else reports)
+    elif not single:
         status = "all match" if all_ok else "MISMATCH"
         print(f"{len(reports)} specs verified: {status}")
     return 0 if all_ok else 1

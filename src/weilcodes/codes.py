@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf import CompositeP, FFElement, FieldMismatch, FiniteField, cached_field, is_odd_prime, mod_p
+from .gf import CompositeP, FFElement, FieldMismatch, FiniteField, cached_field, histogram_split, is_odd_prime, mod_p
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -171,71 +171,6 @@ def encode(ds: DefiningSet, a: FFElement, b: FFElement) -> list[int]:
     return ((ta[ds.xs] + tb[ds.ys]) % spec.p).tolist()
 
 
-def _histogram_split(n: int, n_classes: int, p: int, m: int) -> tuple[int, int]:
-    """(g, cost) of `_class_histograms` on n members in n_classes classes of F_{p^m}.
-
-    Counting the low g digits of a directly writes n p^g keys; each of the
-    other m - g butterfly steps costs n_classes q p^2 additions.  g minimizes
-    the sum, which is the cost; g = m is the direct count.
-    """
-    q = p**m
-    cost, g = min((n * p**g + (m - g) * n_classes * q * p * p, g) for g in range(1, m + 1))
-    return g, cost
-
-
-def _class_histograms(f: FiniteField, members, labels, n_classes: int) -> np.ndarray:
-    """(q, n_classes * p) counts: entry [a, c p + t] is #{members z of class c : Tr(a z) = t}.
-
-    With y = z G mod p the trace-form coordinates of z (G the Gram matrix of
-    `FiniteField._gram`), Tr(a z) = sum_k a_k y_k over the digits a_k of a.
-    The low g digits of a are counted directly (`_count_low_digits`).  Each
-    other digit k is one butterfly step of the generalized Walsh-Hadamard
-    transform (Chrestenson 1955) kept in histogram form,
-
-        new[..., a_k, ..., t] = sum_{y_k} old[..., y_k, ..., t - a_k y_k mod p],
-
-    which turns the axis of y_k into the axis of a_k.  g comes from
-    `_histogram_split`.  The counts are exact integers; no q x q table is read.
-    """
-    p, m, q = f.p, f.m, f.q
-    g, _ = _histogram_split(len(members), n_classes, p, m)
-    hist = _count_low_digits(mod_p(f.digits()[members] @ f._gram(), p), labels, n_classes, p, g)
-    for k in range(g, m):  # axes (y_{m-1} .. y_{k+1}, y_k, rest, t)
-        old = hist.reshape(p ** (m - 1 - k), p, p**k * n_classes, p)
-        wrap = np.concatenate([old, old], axis=-1)  # wrap[..., p - s : 2p - s] is t - s mod p
-        hist = np.empty_like(old)
-        hist[:, 0] = old.sum(axis=1)
-        for a in range(1, p):
-            acc = hist[:, a]
-            acc[...] = old[:, 0]
-            for yk in range(1, p):
-                s = a * yk % p
-                acc += wrap[:, yk, :, p - s : 2 * p - s]
-    return hist.reshape(q, n_classes * p)
-
-
-def _count_low_digits(y: np.ndarray, labels, n_classes: int, p: int, g: int) -> np.ndarray:
-    """Counts over (y_high, a_low, class, t): one bincount over every (member, a_low).
-
-    y holds the members' trace-form coordinates; a_low = sum_{k < g} a_k p^k
-    runs over the low g digits of a, t = sum_{k < g} a_k y_k mod p, and
-    y_high = sum_{k >= g} y_k p^(k - g) keeps the digits still to be folded.
-    """
-    n, m = y.shape
-    # t in int16 while the sum fits
-    small = np.int16 if g * (p - 1) ** 2 < 2**15 else np.int64
-    y_low = y[:, :g].T.astype(small)
-    digit = np.arange(p, dtype=small)[:, None]
-    t = np.zeros((n, 1), dtype=small)
-    for k in range(g):
-        t = (y_low[k, :, None, None] * digit + t[:, None, :]).reshape(n, -1)
-    t = mod_p(t, p)
-    y_high = y[:, g:] @ p ** np.arange(m - g)
-    key = ((y_high * p**g * n_classes + labels) * p)[:, None] + np.arange(p**g) * (n_classes * p)
-    key += t
-    return np.bincount(key.ravel(), minlength=p**m * n_classes * p)
-
-
 def _group_rows(rows: np.ndarray):
     """(uniq, inv): the distinct rows of a 2-d array in lexicographic order, and each row's group.
 
@@ -277,7 +212,7 @@ def _class_tally(ds: DefiningSet, budget: int | None = None):
     holds for any disjoint blocks.
 
     The budget charges the real cost: the q1 + q2 level values scanned for
-    the blocks, the two histograms (`_histogram_split`), checked before any
+    the blocks, the two histograms (`histogram_split`), checked before any
     array is built, and then |uA| |uB| (#classes) p^2 for the pairs,
     checked after grouping and before they are formed.
     """
@@ -291,13 +226,13 @@ def _class_tally(ds: DefiningSet, budget: int | None = None):
     n_classes = len(ds.blocks)
     x_sizes = [len(bx) for bx, _ in ds.blocks]
     y_sizes = [len(by) for _, by in ds.blocks]
-    spent += _histogram_split(sum(x_sizes), n_classes, p, f1.m)[1]
-    spent += _histogram_split(sum(y_sizes), n_classes, p, f2.m)[1]
+    spent += histogram_split(sum(x_sizes), n_classes, p, f1.m)[1]
+    spent += histogram_split(sum(y_sizes), n_classes, p, f2.m)[1]
     check_budget(spent, budget, at_least=True)
     xs = np.concatenate([bx for bx, _ in ds.blocks])
     ys = np.concatenate([by for _, by in ds.blocks])
-    hist_a = _class_histograms(f1, xs, np.repeat(np.arange(n_classes), x_sizes), n_classes)
-    hist_b = _class_histograms(f2, ys, np.repeat(np.arange(n_classes), y_sizes), n_classes)
+    hist_a = f1.class_histograms(xs, np.repeat(np.arange(n_classes), x_sizes), n_classes)
+    hist_b = f2.class_histograms(ys, np.repeat(np.arange(n_classes), y_sizes), n_classes)
     uniq_a, inv_a = _group_rows(hist_a)
     uniq_b, inv_b = _group_rows(hist_b)
     check_budget(spent + len(uniq_a) * len(uniq_b) * n_classes * p * p, budget)

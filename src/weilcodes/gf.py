@@ -13,7 +13,9 @@ Whole-field work runs on (N, m) arrays of digit rows, at any field size:
 * the trace is a linear functional, Tr(X^i) being the trace of
   multiplication by X^i (Lidl & Niederreiter, Finite Fields, ch. 2);
 * Tr(xy) is the trace-form Gram matrix G[i, j] = Tr(X^{i+j}), so the table
-  of Tr(xy) is D G D^T mod p for the digit array D of all elements.
+  of Tr(xy) is D G D^T mod p for the digit array D of all elements;
+* the histograms of Tr(a z) over classes of members z, for every a, are a
+  Walsh-Hadamard butterfly on the members' rows z G.
 
 A single element (`FFElement`) keeps the index or the coefficients it was
 built from and derives the other on first read, so `from_index` and `.index`
@@ -378,6 +380,36 @@ class FiniteField:
         d = self.digits()
         return mod_p(d[indices] @ self._gram() @ d.T, self.p)
 
+    def class_histograms(self, members, labels, n_classes: int) -> np.ndarray:
+        """(q, n_classes * p) counts: entry [a, c p + t] is #{members z of class c : Tr(a z) = t}.
+
+        With y = z G mod p the trace-form coordinates of z (G from `_gram`),
+        Tr(a z) = sum_k a_k y_k over the digits a_k of a.  The low g digits
+        of a are counted directly (`_count_low_digits`).  Each other digit k
+        is one butterfly step of the generalized Walsh-Hadamard transform
+        (Chrestenson 1955) kept in histogram form,
+
+            new[..., a_k, ..., t] = sum_{y_k} old[..., y_k, ..., t - a_k y_k mod p],
+
+        which turns the axis of y_k into the axis of a_k.  g comes from
+        `histogram_split`.  The counts are exact integers; no q x q table is read.
+        """
+        p, m, q = self.p, self.m, self.q
+        g, _ = histogram_split(len(members), n_classes, p, m)
+        hist = _count_low_digits(mod_p(self.digits()[members] @ self._gram(), p), labels, n_classes, p, g)
+        for k in range(g, m):  # axes (y_{m-1} .. y_{k+1}, y_k, rest, t)
+            old = hist.reshape(p ** (m - 1 - k), p, p**k * n_classes, p)
+            wrap = np.concatenate([old, old], axis=-1)  # wrap[..., p - s : 2p - s] is t - s mod p
+            hist = np.empty_like(old)
+            hist[:, 0] = old.sum(axis=1)
+            for a in range(1, p):
+                acc = hist[:, a]
+                acc[...] = old[:, 0]
+                for yk in range(1, p):
+                    s = a * yk % p
+                    acc += wrap[:, yk, :, p - s : 2 * p - s]
+        return hist.reshape(q, n_classes * p)
+
     def lex_rank(self, rows) -> np.ndarray:
         """Position of each digit row in the lexicographic order of coefficient tuples."""
         return self.indices_of(np.asarray(rows)[..., ::-1])
@@ -450,8 +482,8 @@ class FiniteField:
         """(q, q) table of Tr(x*y), built as D G D^T mod p in row blocks.
 
         Stored as int8, or as int16 for p > 127, where int8 would wrap.  No
-        library path reads it: the class histograms of `codes` work from the
-        Gram matrix.  Only the benchmark and the tests build it.
+        library path reads it: `class_histograms` works from the Gram matrix.
+        Only the benchmark and the tests build it.
         """
 
         def build():
@@ -478,6 +510,40 @@ class FiniteField:
             return out
 
         return self.cached("mul_table", build)
+
+
+def histogram_split(n: int, n_classes: int, p: int, m: int) -> tuple[int, int]:
+    """(g, cost) of `FiniteField.class_histograms` on n members in n_classes classes of F_{p^m}.
+
+    Counting the low g digits of a directly writes n p^g keys; each of the
+    other m - g butterfly steps costs n_classes q p^2 additions.  g minimizes
+    the sum, which is the cost; g = m is the direct count.
+    """
+    q = p**m
+    cost, g = min((n * p**g + (m - g) * n_classes * q * p * p, g) for g in range(1, m + 1))
+    return g, cost
+
+
+def _count_low_digits(y: np.ndarray, labels, n_classes: int, p: int, g: int) -> np.ndarray:
+    """Counts over (y_high, a_low, class, t): one bincount over every (member, a_low).
+
+    y holds the members' trace-form coordinates; a_low = sum_{k < g} a_k p^k
+    runs over the low g digits of a, t = sum_{k < g} a_k y_k mod p, and
+    y_high = sum_{k >= g} y_k p^(k - g) keeps the digits still to be folded.
+    """
+    n, m = y.shape
+    # t in int16 while the sum fits
+    small = np.int16 if g * (p - 1) ** 2 < 2**15 else np.int64
+    y_low = y[:, :g].T.astype(small)
+    digit = np.arange(p, dtype=small)[:, None]
+    t = np.zeros((n, 1), dtype=small)
+    for k in range(g):
+        t = (y_low[k, :, None, None] * digit + t[:, None, :]).reshape(n, -1)
+    t = mod_p(t, p)
+    y_high = y[:, g:] @ p ** np.arange(m - g)
+    key = ((y_high * p**g * n_classes + labels) * p)[:, None] + np.arange(p**g) * (n_classes * p)
+    key += t
+    return np.bincount(key.ravel(), minlength=p**m * n_classes * p)
 
 
 def field_create(p: int, m: int, modulus=None) -> FiniteField:
@@ -652,14 +718,10 @@ def linearized_operator(field: FiniteField, a: FFElement, u: int) -> LinOperator
     """Matrix of X -> a^{p^u} X^{p^{2u}} + a X on the power basis."""
     if a.field != field:
         raise FieldMismatch("a must lie in the given field")
-    apu = a.frobenius_iterate(u)
-    cols = []
-    for i in range(field.m):
-        e = field.element(tuple(1 if j == i else 0 for j in range(field.m)))
-        img = apu * e.frobenius_iterate(2 * u) + a * e
-        cols.append(img.coeffs)
-    matrix = tuple(tuple(cols[c][r] for c in range(field.m)) for r in range(field.m))
-    return LinOperator(field, matrix)
+    # row i is the image of X^i; (X^i)^{p^{2u}} is row i of frob_matrix(2u)
+    rows = field.mulmod(field.frob_matrix(2 * u), a.frobenius_iterate(u).coeffs)
+    rows += field.mulmod(np.eye(field.m, dtype=np.int64), a.coeffs)
+    return LinOperator(field, tuple(map(tuple, mod_p(rows, field.p).T.tolist())))
 
 
 @dataclass

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charsum import GaussScale, eta1, gamma_of, gamma_table
+from .charsum import GaussScale, eta1, gamma_trace_table
 from .codes import CodeSpec, min_weight, we_and_dimension
 from .gf import FFElement, mod_p
 
@@ -50,22 +50,21 @@ def case_of(spec: CodeSpec) -> CaseKey:
         cls = "2mod4"
     else:
         cls = "0mod4"
-    k_odd = spec.K % 2 == 1
-    m1_odd = spec.m1 % 2 == 1
+    k_odd = spec.K % 2 == 1  # the parity of m1 too wherever m2/v is even, as m2 is even there
     if spec.lam == 0:
         if cls == "odd":
             thm = 1 if k_odd else 2
         elif cls == "2mod4":
-            thm = 1 if m1_odd else 3
+            thm = 1 if k_odd else 3
         else:
-            thm = 5 if m1_odd else 4
+            thm = 5 if k_odd else 4
     else:
         if cls == "odd":
             thm = 6 if k_odd else 7
         elif cls == "2mod4":
-            thm = 8 if m1_odd else 9
+            thm = 8 if k_odd else 9
         else:
-            thm = 11 if m1_odd else 10
+            thm = 11 if k_odd else 10
     return CaseKey(spec.lam == 0, cls, k_odd, thm)
 
 
@@ -135,15 +134,20 @@ class TAB:
     value: int | None
 
 
+def predicted_keys(spec: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(Tr(a^2/4) per a index, Tr(gamma_b^{p^u+1}) per b index or -1 where gamma_b is missing), kept with the fields."""
+    f1, p = spec.field1, spec.p
+    ta = f1.cached("quarter_square_trace",
+                   lambda: mod_p(pow(4, p - 2, p) * f1.trace_table()[f1.power_table(2)].astype(np.int64), p))
+    return ta, gamma_trace_table(spec.field2, spec.u)
+
+
 def tab(spec: CodeSpec, a: FFElement, b: FFElement) -> TAB:
-    f2 = spec.field2
-    gam = gamma_of(f2, spec.u, b)
-    if gam is None:
+    ta, tb = predicted_keys(spec)
+    t2 = tb.item(b.index)
+    if t2 < 0:
         return TAB(False, None)
-    inv4 = pow(4, spec.p - 2, spec.p)
-    t1 = (a * a * spec.field1.scalar(inv4)).trace()
-    t2 = (gam ** (spec.p**spec.u + 1)).trace()
-    return TAB(True, (t1 + t2) % spec.p)
+    return TAB(True, (ta.item(a.index) + t2) % spec.p)
 
 
 def _composition(spec: CodeSpec, solvable: bool, t: int | None) -> tuple[int, ...]:
@@ -270,7 +274,7 @@ def _classes(spec: CodeSpec):
     m2v = spec.m2 // spec.v
     out = []
     if m2v % 4 == 0:
-        unsolvable = p**spec.K - p ** (spec.K - 2 * spec.v)
+        unsolvable = p**spec.m1 * (p**spec.m2 - count_B(spec))
         out.append((unsolvable, _composition(spec, False, None)))
         counts = [count_A_bar(spec, t) for t in range(p)]
     else:
@@ -330,14 +334,10 @@ def predicted_table(spec: CodeSpec) -> np.ndarray:
     (0, 0) entry holds the zero codeword's composition.
     """
     full = spec.full()
-    f1, f2 = spec.field1, spec.field2
     p = spec.p
     n = predict_length(full)
-    inv4 = pow(4, p - 2, p)
-    ta = inv4 * f1.trace_table()[f1.power_table(2)].astype(np.int64)  # Tr(a^2/4)
-    gam = gamma_table(f2, spec.u)
-    solvable = gam >= 0
-    tb = np.where(solvable, f2.trace_table()[f2.power_table(p**spec.u + 1)[gam]], 0)
+    ta, tb = predicted_keys(full)
+    solvable = tb >= 0
     T = mod_p(ta[:, None] + tb[None, :], p)
     comp_by_t = np.array([_composition(full, True, t) for t in range(p)], dtype=np.int64)
     out = comp_by_t[T]

@@ -125,11 +125,12 @@ def test_gauss_closed_m1_is_g1():
 
 
 def test_orthogonality():
-    f9 = field_create(3, 2)
-    assert orthogonality_sum(f9, f9.zero()).as_int() == 9
-    assert orthogonality_sum(f9, f9.gen()).is_zero()
-    f3 = field_create(3, 1)
-    assert orthogonality_sum(f3, f3.scalar(2)).is_zero()
+    # the exhaustive sum against the orthogonality relation: q at b = 0, else 0
+    for p, m in [(3, 1), (3, 2), (3, 3), (5, 2)]:
+        field = field_create(p, m)
+        for b in field.elements():
+            want = CycInt.integer(p, field.q) if b.is_zero() else CycInt.zero(p)
+            assert orthogonality_sum(field, b) == want, (p, m, b.index)
 
 
 def test_weil_brute_spec_values():

@@ -330,6 +330,21 @@ def test_sweep_p7_verifies(capsys):
     assert out.splitlines()[-1] == "168 specs verified: all match"
 
 
+def test_text_sweep_prints_we_lines_only_for_a_single_spec(capsys, monkeypatch):
+    # an empty --sweep is still a sweep; it stands in for the default sweep
+    # here, cut to a few specs to keep the run short
+    small = parse_sweep("p=3;m1=1;m2=1-2;u=1;lambda=0")
+    monkeypatch.setattr(cli, "parse_sweep", lambda text: small if text == "" else parse_sweep(text))
+    code, out, _ = run(capsys, "verify", "--sweep", "", "--budget", "0")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == len(small) + 1 and not any(line.startswith("WE:") for line in lines)
+    assert lines[-1] == f"{len(small)} specs verified: all match"
+    code, out, _ = run(capsys, "verify", "--p", "3", "--m1", "1", "--m2", "2", "--u", "1", "--lambda", "0")
+    assert code == 0
+    assert [line.startswith("WE:") for line in out.splitlines()] == [False, True]
+
+
 def test_default_sweep_is_the_acceptance_sweep_and_verifies(capsys):
     from conftest import sweep_specs
 

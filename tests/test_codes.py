@@ -7,21 +7,19 @@ import numpy as np
 import pytest
 from conftest import sweep_specs
 
-from weilcodes import codes
+from weilcodes import gf
 from weilcodes.codes import (
     BudgetExceeded,
     CodeSpec,
     DefiningSet,
-    _class_histograms,
     _group_rows,
-    _histogram_split,
     build_defining_set,
     complete_weight_enumerator,
     dump_lines,
     encode,
     symbol_count_table,
 )
-from weilcodes.gf import FieldMismatch, FiniteField, is_irreducible, smallest_irreducible
+from weilcodes.gf import FieldMismatch, FiniteField, histogram_split, is_irreducible, smallest_irreducible
 
 
 def brute_points(spec):
@@ -399,9 +397,9 @@ def test_class_histograms_equal_an_element_count():
         n_classes = int(rng.integers(3, 6))
         labels = rng.integers(0, n_classes - 2, size=n)
         labels[0] = n_classes - 2  # a singleton class; class n_classes - 1 stays empty
-        got = _class_histograms(f, members, labels, n_classes)
+        got = f.class_histograms(members, labels, n_classes)
         assert np.array_equal(got, _reference_histograms(f, members, labels, n_classes)), (p, m)
-        g, _ = _histogram_split(n, n_classes, p, m)
+        g, _ = histogram_split(n, n_classes, p, m)
         splits.add("g = 1" if g == 1 else "g = m" if g == m else "1 < g < m")
     # the cost rule picks each kind of split; with distinct members g = 1 only at m = 1
     assert splits == {"g = 1", "1 < g < m", "g = m"}
@@ -415,8 +413,8 @@ def test_every_histogram_split_gives_the_same_counts(monkeypatch):
         labels = rng.integers(0, 3, size=len(members))
         want = _reference_histograms(f, members, labels, 4)
         for g in range(1, m + 1):
-            monkeypatch.setattr(codes, "_histogram_split", lambda *args, g=g: (g, 0))
-            assert np.array_equal(_class_histograms(f, members, labels, 4), want), (p, m, g)
+            monkeypatch.setattr(gf, "histogram_split", lambda *args, g=g: (g, 0))
+            assert np.array_equal(f.class_histograms(members, labels, 4), want), (p, m, g)
 
 
 def test_punctured_we_is_transversal_invariant_but_cwe_is_not():

@@ -1,12 +1,14 @@
 """Closed-form predictions against spec examples and structural invariants."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from weilcodes.charsum import gamma_of
 from weilcodes.codes import CodeSpec, build_defining_set, complete_weight_enumerator, encode
 from weilcodes.gf import FiniteField, is_irreducible
 from weilcodes.theory import (
@@ -18,6 +20,7 @@ from weilcodes.theory import (
     predict_cwe,
     predict_length,
     predict_symbol_counts,
+    predicted_keys,
     predicted_table,
     tab,
 )
@@ -77,6 +80,37 @@ def test_tab_values():
     f2 = spec40.field2
     unsolvable = [bi for bi in range(f2.q) if not tab(spec40, spec40.field1.zero(), f2.from_index(bi)).solvable]
     assert len(unsolvable) == 81 - 9
+
+
+def _other_modulus(p, m):
+    """A monic irreducible of degree m other than the default one (for m > 1)."""
+    lows = itertools.product(range(p - 1, -1, -1), repeat=m)
+    return next(low + (1,) for low in lows if is_irreducible(low + (1,), p))
+
+
+@pytest.mark.parametrize(
+    "p, m1, m2, u, custom",
+    [(3, 2, 2, 1, False), (5, 1, 2, 1, False), (3, 1, 4, 1, False), (3, 2, 3, 2, True),
+     (3, 3, 4, 1, True), (5, 2, 4, 1, True), (7, 1, 2, 1, True)],
+)
+def test_predicted_keys_equal_the_per_pair_formulas(p, m1, m2, u, custom):
+    # Tr(a^2/4) and Tr(gamma_b^{p^u+1}) in element arithmetic, against the key tables
+    mods = (_other_modulus(p, m1), _other_modulus(p, m2)) if custom else (None, None)
+    spec = CodeSpec(p, m1, m2, u, 1, mod1=mods[0], mod2=mods[1])
+    f1, f2 = spec.field1, spec.field2
+    assert (f2.modulus != FiniteField(p, m2).modulus) == custom
+    ta, tb = predicted_keys(spec)
+    quarter = f1.scalar(pow(4, p - 2, p))
+    assert ta.tolist() == [(a * a * quarter).trace() for a in f1.elements()]
+    gammas = [gamma_of(f2, u, b) for b in f2.elements()]
+    assert tb.tolist() == [-1 if g is None else (g ** (p**u + 1)).trace() for g in gammas]
+    # m2/v = 0 mod 4 leaves some b without gamma_b
+    assert (None in gammas) == ((m2 // math.gcd(m2, u)) % 4 == 0)
+    for ai in (0, 1, f1.q - 1):
+        for bi, g in enumerate(gammas):
+            info = tab(spec, f1.from_index(ai), f2.from_index(bi))
+            assert info.solvable == (g is not None)
+            assert info.value == (None if g is None else (ta[ai] + tb[bi]) % p), (ai, bi)
 
 
 def test_count_A_tilde_examples():
