@@ -13,8 +13,8 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from itertools import chain
-from operator import add, itemgetter
+
+import numpy as np
 
 from .bounds import classify
 from .codes import (
@@ -50,17 +50,20 @@ def we_pairs(we):
     return [[w, we[w]] for w in sorted(we)]
 
 
-def cwe_pairs(comps, freq):
-    """[composition, frequency] pairs of composition lists, in the order given (lexicographic)."""
-    return list(map(list, zip(comps, freq)))
+def measured_cwe_rows(res) -> np.ndarray:
+    """The measured CWE as one (rows, p + 1) int64 array: each composition, then its frequency.
+
+    `json_text` writes it as the [composition, frequency] pairs, in the
+    tally's lexicographic order.
+    """
+    return np.column_stack((res.comps, res.freq))
 
 
 def predicted_cwe_pairs(pred):
     """The predicted CWE as sorted pairs, or None where it is not predicted (punctured codes)."""
     if pred.cwe is None:
         return None
-    comps = sorted(pred.cwe)
-    return cwe_pairs(map(list, comps), map(pred.cwe.get, comps))
+    return [[list(comp), pred.cwe[comp]] for comp in sorted(pred.cwe)]
 
 
 def spec_dict(spec: CodeSpec) -> dict:
@@ -230,13 +233,12 @@ def run_report(spec: CodeSpec, budget) -> tuple[dict, bool]:
     t0 = time.monotonic()
     res = _measure(spec, budget)
     pred = predict_cwe(spec)
-    cwe = cwe_pairs(res.comps.tolist(), res.freq.tolist())
-    pred_cwe = predicted_cwe_pairs(pred)
     match = {
         "length": res.length == pred.length,
         "dimension": res.dimension == pred.dimension,
         "we": res.we == pred.we,
-        "cwe": None if pred_cwe is None else cwe == pred_cwe,  # both lists in lex order
+        # predicted only for full codes, whose CWEs are small enough to read as a dict
+        "cwe": None if pred.cwe is None else res.cwe == pred.cwe,
     }
     d = res.min_distance
     gries = None
@@ -248,13 +250,13 @@ def run_report(spec: CodeSpec, budget) -> tuple[dict, bool]:
         "length": res.length,
         "dimension": res.dimension,
         "we": we_pairs(res.we),
-        "cwe": cwe,
+        "cwe": measured_cwe_rows(res),
         "predicted": {
             "theorem": pred.source,
             "length": pred.length,
             "dimension": pred.dimension,
             "we": we_pairs(pred.we),
-            "cwe": pred_cwe,
+            "cwe": predicted_cwe_pairs(pred),
         },
         "match": match,
         "griesmer": gries,
@@ -273,17 +275,28 @@ def json_text(obj, indent: str = "") -> str:
     """obj written as `json.dumps(obj, indent=2)` writes it, byte for byte.
 
     `indent` is the indentation of the line the value starts on.  A list of
-    ints, and a list of [composition, frequency] pairs whose compositions
-    share one length (`_pair_run`), the bulk of every report, are each
-    written in one step; every other scalar goes to `json.dumps`, so `True`
-    stays `true` (`type(x) is int` excludes bools).  Keys must be strings.
-    `json.dumps` with any indent runs its pure-Python encoder, several times
-    slower than this on the reports.
+    ints is written in one step.  A 2-d int array of shape (rows, L + 1),
+    L >= 1, stands for the list of pairs [row[:L], row[L]] (the measured CWE,
+    `measured_cwe_rows`); it is written from one %-template, a copy of the
+    L + 1 slots of a pair per row, filled with the raveled values, and its
+    items are not checked one by one.  Every other scalar goes to
+    `json.dumps`, so `True` stays `true` (`type(x) is int` excludes bools).
+    Keys must be strings.  `json.dumps` with any indent runs its pure-Python
+    encoder, several times slower than this on the reports.
     """
     t = type(obj)
     if t is int:
         return str(obj)
     inner = indent + "  "
+    if t is np.ndarray:
+        rows, width = obj.shape
+        if not rows:
+            return "[]"
+        deeper = inner + "  "
+        slots = (",\n" + deeper + "  ").join(["%d"] * (width - 1))
+        pair = f"[\n{deeper}[\n{deeper}  {slots}\n{deeper}],\n{deeper}%d\n{inner}]"
+        body = (",\n" + inner).join([pair] * rows) % tuple(obj.ravel().tolist())
+        return f"[\n{inner}{body}\n{indent}]"
     if t is list or t is tuple:
         if not obj:
             return "[]"
@@ -291,9 +304,7 @@ def json_text(obj, indent: str = "") -> str:
         if _ONLY_INT.issuperset(map(type, obj)):
             body = sep.join(map(str, obj))
         else:
-            body = _pair_run(obj, inner)
-            if body is None:
-                body = sep.join([json_text(x, inner) for x in obj])
+            body = sep.join([json_text(x, inner) for x in obj])
         return f"[\n{inner}{body}\n{indent}]"
     if t is dict:
         if not obj:
@@ -307,35 +318,6 @@ def json_text(obj, indent: str = "") -> str:
 
 
 _ONLY_INT = frozenset((int,))
-_ONLY_LIST = frozenset((list,))
-_PAIR = frozenset((2,))
-
-
-def _pair_run(obj: list, inner: str) -> str | None:
-    """The items of a list of [composition, frequency] pairs, written at indentation inner.
-
-    Applies when every item is a list [c, k] with c a list of ints of one
-    common, nonzero length L and k an int; otherwise None.  The check runs
-    in C over whole columns, so its cost in Python calls does not grow with
-    the number of pairs, and the body is one %-template, one copy of the
-    L + 1 slots of a pair per item, filled with the flattened values.
-    """
-    if not (_ONLY_LIST.issuperset(map(type, obj)) and _PAIR.issuperset(map(len, obj))):
-        return None
-    comps = list(map(itemgetter(0), obj))
-    freqs = list(map(itemgetter(1), obj))
-    if not _ONLY_LIST.issuperset(map(type, comps)):
-        return None
-    lengths = set(map(len, comps))
-    if len(lengths) != 1 or 0 in lengths:
-        return None
-    values = tuple(chain.from_iterable(map(add, map(tuple, comps), zip(freqs))))
-    if not _ONLY_INT.issuperset(map(type, values)):
-        return None
-    deeper = inner + "  "
-    slots = (",\n" + deeper + "  ").join(["%d"] * lengths.pop())
-    pair = f"[\n{deeper}[\n{deeper}  {slots}\n{deeper}],\n{deeper}%d\n{inner}]"
-    return (",\n" + inner).join([pair] * len(obj)) % values
 
 
 def _emit(obj):
@@ -391,7 +373,7 @@ def cmd_enumerate(args) -> int:
                 "dimension": res.dimension,
                 "min_distance": res.min_distance,
                 "we": we_pairs(res.we),
-                "cwe": cwe_pairs(res.comps.tolist(), res.freq.tolist()),
+                "cwe": measured_cwe_rows(res),
             },
         )
     else:

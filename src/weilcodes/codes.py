@@ -171,21 +171,53 @@ def encode(ds: DefiningSet, a: FFElement, b: FFElement) -> list[int]:
     return ((ta[ds.xs] + tb[ds.ys]) % spec.p).tolist()
 
 
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """True where a sorted 1-d array starts a run of equal entries."""
+    start = np.empty(len(keys), dtype=bool)
+    start[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=start[1:])
+    return start
+
+
+def _sorted_groups(rows: np.ndarray):
+    """(order, cut): rows[order] is in lexicographic order, and cut marks where a run of equal rows starts.
+
+    The entries must be non-negative.  Each row is packed into as few int64
+    key words as fit: a word holds k consecutive columns as base-(max + 1)
+    digits, the first column most significant, with k the most that keep
+    every key below 2^63.  Packing keeps the lexicographic order, so one
+    argsort orders the rows, or one lexsort of the few words.
+    """
+    if len(rows) == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
+    if rows.min() < 0:
+        raise ValueError("rows to group must be non-negative")
+    radix = int(rows.max()) + 1
+    k = 1
+    while k < rows.shape[1] and radix ** (k + 1) < 1 << 63:
+        k += 1
+    places = np.array([radix**e for e in range(k - 1, -1, -1)], dtype=np.int64)
+    words = []
+    for j in range(0, rows.shape[1], k):
+        cols = rows[:, j:j + k]
+        words.append(cols @ places[k - cols.shape[1]:])
+    order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words[::-1])
+    cut = _run_starts(words[0][order])
+    for word in words[1:]:
+        cut |= _run_starts(word[order])
+    return order, cut
+
+
 def _group_rows(rows: np.ndarray):
     """(uniq, inv): the distinct rows of a 2-d array in lexicographic order, and each row's group.
 
     The same as `np.unique(rows, axis=0, return_inverse=True)` with the
-    inverse raveled: one lexsort, then a cut wherever a sorted row differs
-    from the one before it.
+    inverse raveled, for non-negative entries (`_sorted_groups`).
     """
-    order = np.lexsort(rows.T[::-1])  # first column leading
-    srt = rows[order]
-    cut = np.empty(len(rows), dtype=bool)
-    cut[:1] = True
-    cut[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+    order, cut = _sorted_groups(rows)
     inv = np.empty(len(rows), dtype=np.int64)
     inv[order] = np.cumsum(cut) - 1
-    return srt[cut], inv
+    return rows[order[cut]], inv
 
 
 def check_budget(required: int, budget: int | None, at_least: bool = False) -> None:
@@ -298,9 +330,10 @@ def complete_weight_enumerator(
 
     The compositions are the rows of the class tally: row (i, j) stands for
     the #{a : inv_a[a] = i} #{b : inv_b[b] = j} message pairs that share
-    it.  Equal rows are grouped and their weights summed in int64, giving
-    the result's `comps` (lexicographic order) and `freq`; the WE and the
-    dimension come from their zero-symbol column (`we_and_dimension`), and
+    it.  Equal rows are sorted into runs (`_sorted_groups`) and each run's
+    weights summed in int64, giving the result's `comps` (lexicographic
+    order) and `freq`; the WE and the dimension come from their zero-symbol
+    column, summed per run of equal zeros first (`we_and_dimension`), and
     the `cwe` dict is left until it is read.  The budget is charged as in
     `_class_tally`.
     """
@@ -308,12 +341,17 @@ def complete_weight_enumerator(
     p = spec.p
     n = len(ds)
     counts, inv_a, inv_b = _class_tally(ds, budget)
-    comps, group = _group_rows(counts.reshape(-1, p))
+    rows = counts.reshape(-1, p)
+    order, cut = _sorted_groups(rows)
+    starts = np.flatnonzero(cut)
+    comps = rows[order[starts]]
     weight = np.outer(np.bincount(inv_a, minlength=counts.shape[0]),
-                      np.bincount(inv_b, minlength=counts.shape[1]))
-    freq = np.zeros(len(comps), dtype=np.int64)
-    np.add.at(freq, group, weight.ravel())
-    we, dim = we_and_dimension(comps[:, 0].tolist(), freq.tolist(), n, spec.K, p)
+                      np.bincount(inv_b, minlength=counts.shape[1])).ravel()
+    freq = np.add.reduceat(weight[order], starts)
+    # column 0 is non-decreasing in lexicographic order: one entry per run of equal zeros
+    zeros = comps[:, 0]
+    runs = np.flatnonzero(_run_starts(zeros))
+    we, dim = we_and_dimension(zeros[runs].tolist(), np.add.reduceat(freq, runs).tolist(), n, spec.K, p)
     if dim is None:
         raise AssertionError("zero-codeword count is not a power of p")
     return EnumerationResult(length=n, dimension=dim, comps=comps, freq=freq, we=we,
@@ -332,12 +370,14 @@ def we_and_dimension(zeros, freq, n: int, K: int, p: int):
     its number of codewords, as Python ints; a codeword's weight is n minus
     its zeros, and the sums are exact.  The weight-0 frequency, that of the
     zero composition (n, 0, ..., 0), is the size p^{K - dim} of the encoding
-    kernel; the dimension is None when it is not a power of p.
+    kernel; the dimension is None when it is 0 or not a power of p.
     """
     we: dict[int, int] = {}
     for z, k in zip(zeros, freq):
         we[n - z] = we.get(n - z, 0) + k
     kernel = we.get(0, 0)
+    if kernel < 1:
+        return we, None
     dim = K
     while kernel > 1:
         if kernel % p:

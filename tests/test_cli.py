@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from weilcodes import cli, codes
@@ -384,6 +385,32 @@ def test_default_sweep_is_the_acceptance_sweep_and_verifies(capsys):
 )
 def test_json_text_equals_json_dumps_indent_2(obj):
     assert json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize(
+    "p, rows, freq_lo",
+    [(3, 20, 1), (5, 300, 1), (7, 50, 1), (13, 40, 1), (5, 1, 1), (13, 1, 2**62), (7, 30, 2**62 - 2**20)],
+    ids=["p3", "p5", "p7", "p13", "one-row", "one-row-near-2^62", "near-2^62"],
+)
+def test_json_text_writes_a_cwe_array_as_json_dumps_writes_its_pairs(p, rows, freq_lo):
+    rng = np.random.default_rng(p * rows)
+    comps = rng.integers(0, 5000, size=(rows, p))
+    freq = rng.integers(freq_lo, freq_lo + 2**21, size=rows)
+    array = np.column_stack((comps, freq))
+    pairs = [[c, k] for c, k in zip(comps.tolist(), freq.tolist())]
+    obj = {"cwe": array, "nested": [array, {"cwe": array}], "after": [[[1, 2], 3]]}
+    want = {"cwe": pairs, "nested": [pairs, {"cwe": pairs}], "after": [[[1, 2], 3]]}
+    assert json_text(obj) == json.dumps(want, indent=2)
+
+
+@pytest.mark.parametrize("spec", [codes.CodeSpec(7, 2, 2, 1, 3, True), codes.CodeSpec(13, 1, 1, 1, 0),
+                                  codes.CodeSpec(13, 1, 2, 1, 5, True)],
+                         ids=["p7-punctured", "p13-full", "p13-punctured"])
+def test_report_with_cwe_array_is_json_dumps_of_its_pairs(spec):
+    report, ok = cli.run_report(spec, None)
+    assert ok
+    pairs = [[row[:-1], row[-1]] for row in report["cwe"].tolist()]
+    assert json_text(report) == json.dumps(dict(report, cwe=pairs), indent=2)
 
 
 def test_parse_sweep_defaults_cap():

@@ -2,12 +2,13 @@
 
 from collections import Counter
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
-from conftest import sweep_specs
+from conftest import enumeration_of, sweep_specs
 
-from weilcodes import gf
+from weilcodes import codes, gf
 from weilcodes.codes import (
     BudgetExceeded,
     CodeSpec,
@@ -18,6 +19,7 @@ from weilcodes.codes import (
     dump_lines,
     encode,
     symbol_count_table,
+    we_and_dimension,
 )
 from weilcodes.gf import FieldMismatch, FiniteField, histogram_split, is_irreducible, smallest_irreducible
 
@@ -347,14 +349,83 @@ def test_factorized_tally_matches_encode_rows(kind):
     assert np.array_equal(res.table, table)
 
 
+def _near_duplicates(rng, shape, hi):
+    """Rows drawn from a few distinct ones, some then changed in one column: equal rows, and rows
+    equal in every packed word but one."""
+    n, cols = shape
+    rows = rng.integers(0, hi, size=(max(n // 8, 1), cols), dtype=np.int64)[rng.integers(0, max(n // 8, 1), n)]
+    changed = rng.random(n) < 0.3
+    rows[changed, rng.integers(0, cols, int(changed.sum()))] = rng.integers(0, hi, int(changed.sum()))
+    return rows
+
+
+# radices whose 3rd and 2nd powers lie just below 2^63, one whose square lies between 2^63 and
+# 2^64 (two digits of it would overflow an int64 key, not a uint64 one), and the largest, 2^63
+_R3, _R2, _R2_OVER, _R1 = 2**21 - 1, 3037000499, 3719550786, 2**63
+assert _R3**3 < 2**63 <= (_R3 + 1) ** 3 and _R2**2 < 2**63 <= (_R2 + 1) ** 2
+assert 2**63 < _R2_OVER**2 < 2**64
+
+
 def test_group_rows_is_unique_axis0():
     rng = np.random.default_rng(7)
-    for shape, hi in [((50, 4), 3), ((200, 9), 2), ((1, 3), 5), ((0, 3), 2), ((30, 1), 4)]:
-        rows = rng.integers(0, hi, size=shape)
-        uniq, inv = _group_rows(rows)
-        want_uniq, want_inv = np.unique(rows, axis=0, return_inverse=True)
-        assert np.array_equal(uniq, want_uniq)
-        assert np.array_equal(inv, want_inv.ravel())
+    cases = [((50, 4), 3), ((200, 9), 2), ((1, 3), 5), ((0, 3), 2), ((30, 1), 4), ((0, 1), 3), ((1, 1), 1),
+             ((169, 104), 201), ((60, 10), 201),  # 13 words of 8 columns; 10 columns at 8 per word
+             ((40, 7), _R3), ((40, 5), _R2), ((40, 5), _R2_OVER), ((40, 3), _R1), ((40, 1), _R1)]
+    for shape, hi in cases:
+        for rows in (rng.integers(0, hi, size=shape, dtype=np.int64), _near_duplicates(rng, shape, hi)):
+            if rows.size:
+                rows.flat[rng.integers(0, rows.size, 3)] = hi - 1  # the largest digit of the radix
+            uniq, inv = _group_rows(rows)
+            want_uniq, want_inv = np.unique(rows, axis=0, return_inverse=True)
+            assert np.array_equal(uniq, want_uniq), (shape, hi)
+            assert np.array_equal(inv, want_inv.ravel()), (shape, hi)
+
+
+def test_group_rows_refuses_negative_entries():
+    with pytest.raises(ValueError):
+        _group_rows(np.array([[0, 1], [-1, 0]]))
+
+
+def test_we_and_dimension_has_no_dimension_without_a_power_of_p_kernel():
+    assert we_and_dimension([3, 1], [5, 20], 3, 2, 5) == ({0: 5, 2: 20}, 1)
+    assert we_and_dimension([3], [1], 3, 0, 5) == ({0: 1}, 0)
+    assert we_and_dimension([1], [25], 3, 2, 5) == ({2: 25}, None)  # no zero codeword
+    assert we_and_dimension([3, 1], [10, 15], 3, 2, 5) == ({0: 10, 2: 15}, None)
+
+
+@pytest.mark.parametrize("zero_codewords", [0, 6])
+def test_complete_weight_enumerator_refuses_a_zero_count_not_a_power_of_p(monkeypatch, zero_codewords):
+    # a planted tally over the 3 x 3 messages of (3, 1, 1): the zero composition (2, 0, 0)
+    # for 0 of them or for 6, and (1, 1, 0) for the rest
+    inv_a = np.array([0, 0, 1]) if zero_codewords else np.ones(3, dtype=np.int64)
+    counts = np.array([[[2, 0, 0]], [[1, 1, 0]]], dtype=np.int64)
+    monkeypatch.setattr(codes, "_class_tally", lambda ds, budget: (counts, inv_a, np.zeros(3, dtype=np.int64)))
+    with pytest.raises(AssertionError, match="not a power of p"):
+        complete_weight_enumerator(build_defining_set(CodeSpec(3, 1, 1, 1, 1)))
+
+
+_PUNCTURED_P7_P13 = [CodeSpec(7, 2, 2, 1, 0, True), CodeSpec(7, 2, 2, 1, 3, True), CodeSpec(7, 1, 3, 2, 1, True),
+                     CodeSpec(13, 1, 1, 1, 0, True), CodeSpec(13, 1, 2, 1, 5, True)]
+
+
+@pytest.mark.parametrize("specs", [sweep_specs(), _PUNCTURED_P7_P13], ids=["default-sweep", "punctured-p7-p13"])
+def test_measured_cwe_equals_a_plain_sum_over_the_class_tally(specs):
+    for spec in specs:
+        res = enumeration_of(spec)
+        counts, inv_a, inv_b = res._tally
+        n_a, n_b = Counter(inv_a.tolist()), Counter(inv_b.tolist())
+        cwe, we = Counter(), Counter()
+        for (i, row), j in product(enumerate(counts.tolist()), range(counts.shape[1])):
+            cwe[tuple(row[j])] += n_a[i] * n_b[j]
+            we[res.length - row[j][0]] += n_a[i] * n_b[j]
+        dim = spec.K
+        while spec.p ** (spec.K - dim) < we[0]:
+            dim -= 1
+        assert spec.p ** (spec.K - dim) == we[0], spec
+        assert (res.we, res.dimension) == (dict(we), dim), spec
+        assert res.comps.tolist() == sorted(map(list, cwe)), spec
+        assert res.freq.dtype == np.int64
+        assert res.freq.tolist() == [cwe[tuple(c)] for c in res.comps.tolist()], spec
 
 
 def _random_modulus(rng, p, m):
