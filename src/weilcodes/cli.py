@@ -156,8 +156,10 @@ def _parse_values(text, kind=int):
     for piece in text.split(","):
         piece = piece.strip()
         if "-" in piece and not piece.startswith("-"):
-            lo, hi = piece.split("-")
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, piece.split("-"))
+            if lo > hi:
+                raise ValueError(f"range {piece!r} is reversed")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(kind(piece))
     return out
@@ -169,7 +171,8 @@ def parse_sweep(text: str) -> list[CodeSpec]:
     Keys: p, m1, m2, u (comma lists, a-b ranges), lambda (list or 'all'),
     punctured (full|punctured|both), maxq (cap on p^K).  Defaults are the
     verification sweep: p=3,5; m1=1-3; m2=1-4; u=1-3; lambda=all;
-    punctured=both; maxq=15625.
+    punctured=both; maxq=15625.  A spec selected twice (say lambda=1,4 at
+    p = 3) is kept once, at its first place.
     """
     opts = {
         "p": [3, 5],
@@ -209,7 +212,7 @@ def parse_sweep(text: str) -> list[CodeSpec]:
                             specs.append(CodeSpec(p, m1, m2, u, lam, punct))
     if not specs:
         raise ValueError(f"sweep {text!r} selects no specs")
-    return specs
+    return list(dict.fromkeys(specs))
 
 
 def _scan(spec: CodeSpec, budget) -> DefiningSet:

@@ -127,13 +127,6 @@ class DefiningSet:
         return [(f1.from_index(int(x)), f2.from_index(int(y))) for x, y in zip(self.xs, self.ys)]
 
 
-def _orbit_least(f: FiniteField, scalars) -> np.ndarray:
-    """Per index: the element is lex-smaller than each of its multiples c x, c in scalars."""
-    d = f.digits().astype(np.int64)
-    own = f.lex_rank(d)
-    return np.all([f.lex_rank(mod_p(c * d, f.p)) > own for c in scalars], axis=0)
-
-
 def build_defining_set(spec: CodeSpec) -> DefiningSet:
     """Scan the q1 + q2 level values; the set is the union of its level-product blocks.
 
@@ -149,9 +142,10 @@ def build_defining_set(spec: CodeSpec) -> DefiningSet:
     level_x = f1.trace_table()[f1.power_table(2)]
     level_y = f2.trace_table()[f2.power_table(p**spec.u + 1)]
     if spec.punctured:
-        # c (x, y) must keep the level set: every c != 0 for lambda = 0, else only -1
-        scalars = range(2, p) if lam == 0 else (p - 1,)
-        keep_x, keep_y = _orbit_least(f1, scalars), _orbit_least(f2, scalars)
+        # c (x, y) must keep the level set: every c != 0 for lambda = 0, else only +-1.  The
+        # lex-least of the c x leads with the least of the c lead(x): 1, or lead(x) <= (p - 1)/2
+        top = 1 if lam == 0 else (p - 1) // 2
+        keep_x, keep_y = f1.leading()[0] <= top, f2.leading()[0] <= top
     else:
         keep_x, keep_y = np.ones(f1.q, dtype=bool), np.ones(f2.q, dtype=bool)
     keep_x[0] = keep_y[0] = False  # x = 0 has a block of its own, where y = 0 is the origin
@@ -229,6 +223,12 @@ def check_budget(required: int, budget: int | None, at_least: bool = False) -> N
         raise BudgetExceeded(required, budget, at_least)
 
 
+# a block of the pair stage holds at most this many entries (1 MB at int64) of shifted rows or gather indices
+_PAIR_BLOCK = 1 << 17
+# the orbit pass makes about twenty more array calls than plain pairing, worth this many multiply-adds
+_ORBIT_CALLS = 1 << 18
+
+
 def _class_tally(ds: DefiningSet, budget: int | None = None):
     """(counts, inv_a, inv_b): the tally on distinct histogram rows, and each message's row.
 
@@ -240,13 +240,21 @@ def _class_tally(ds: DefiningSet, budget: int | None = None):
 
         N[a, b, r] = sum_c sum_t A_c[a, t] B_c[b, r - t mod p],
 
-    formed once per distinct row of A and of B.  It is exact in integers and
-    holds for any disjoint blocks.
+    formed on distinct rows of A and of B (`_pair_rows`).  It is exact in
+    integers and holds for any disjoint blocks.  By linearity the codeword of
+    (d a, b) is d times that of (a, b / d), so N[d a, b, r] = N[a, b / d, r / d]
+    for d in F_p*: on the side with more distinct rows, only the rows of
+    elements that lead with 1 (`FiniteField.leading`) need pairing, and one
+    gather rebuilds the others (`_scaling_orbits`, `_unfold`).  That pass is
+    taken only where the pair work it removes exceeds the gather it adds and
+    the cost of its own calls (`_ORBIT_CALLS`).
 
     The budget charges the real cost: the q1 + q2 level values scanned for
     the blocks, the two histograms (`histogram_split`), checked before any
-    array is built, and then |uA| |uB| (#classes) p^2 for the pairs,
-    checked after grouping and before they are formed.
+    array is built, and then, checked after grouping and before the pairs
+    are formed, the pair work (`_pair_rows`: paired rows x other rows x kept
+    (class, t) bins x p) plus, with the orbit pass, the |uA| |uB| p entries
+    it gathers.
     """
     spec = ds.spec
     p = spec.p
@@ -267,12 +275,111 @@ def _class_tally(ds: DefiningSet, budget: int | None = None):
     hist_b = f2.class_histograms(ys, np.repeat(np.arange(n_classes), y_sizes), n_classes)
     uniq_a, inv_a = _group_rows(hist_a)
     uniq_b, inv_b = _group_rows(hist_b)
-    check_budget(spent + len(uniq_a) * len(uniq_b) * n_classes * p * p, budget)
-    uniq_a = uniq_a.reshape(len(uniq_a), n_classes, p)
-    r_minus_t = (np.arange(p)[:, None] - np.arange(p)[None, :]) % p
-    shifted_b = uniq_b.reshape(len(uniq_b), n_classes, p)[:, :, r_minus_t]  # [b, c, r, t]
-    counts = np.tensordot(uniq_a, shifted_b, axes=([1, 2], [1, 3]))  # [a, b, r]
-    return counts, inv_a, inv_b
+    # the orbit side has the more rows; `swap` when that is the B side
+    swap = len(uniq_b) > len(uniq_a)
+    (rows, inv, f), (other, inv_o, f_o) = ((uniq_b, inv_b, f2), (uniq_a, inv_a, f1)) if swap else \
+        ((uniq_a, inv_a, f1), (uniq_b, inv_b, f2))
+    n, n_o = len(rows), len(other)
+    bins = _kept_bins(rows)
+    work = n * len(bins) * n_o * p
+    gather = n * n_o * p
+    # at least one row in p - 1 is paired; below that the pass cannot repay its gather and calls
+    if work * (p - 2) // (p - 1) > gather + _ORBIT_CALLS:
+        orbits = _scaling_orbits(f, inv, n)
+        rep_rows = rows[orbits[0]]
+        rep_bins = _kept_bins(rep_rows)
+        rep_work = len(rep_rows) * len(rep_bins) * n_o * p
+        if work - rep_work > gather + _ORBIT_CALLS:
+            check_budget(spent + rep_work + gather, budget)
+            paired = _pair_rows(rep_rows, rep_bins, other, p, len(ds))
+            return _unfold(paired, orbits, f_o, inv_o, swap), inv_a, inv_b
+    check_budget(spent + work, budget)
+    paired = _pair_rows(rows, bins, other, p, len(ds))  # [j, r, i]
+    return np.ascontiguousarray(paired.transpose((0, 2, 1) if swap else (2, 0, 1)), dtype=np.int64), inv_a, inv_b
+
+
+def _kept_bins(rows: np.ndarray) -> np.ndarray:
+    """The (class, t) bins, c p + t, that are nonzero in some row: the only ones a pair reads."""
+    return np.flatnonzero(rows.sum(axis=0))  # the entries are counts, so a zero sum is an empty bin
+
+
+def _pair_rows(rows: np.ndarray, bins: np.ndarray, other: np.ndarray, p: int, n: int) -> np.ndarray:
+    """(len(other), p, len(rows)): [j, r, i] = sum_c sum_t rows[i, c p + t] other[j, c p + (r - t) mod p].
+
+    The sum runs over the kept bins (`_kept_bins`) alone, so a thin class
+    side (fewer than p members, most bins empty) costs its members, not p.
+    It is one integer matrix product per block of other rows: the block's
+    rows shifted by every t, (block, p, kept), times the kept columns of
+    rows, transposed.  That order reads the large operand once, row by row,
+    and a block holds at most `_PAIR_BLOCK` shifted entries.  Every term and
+    partial sum is non-negative and at most the total, a count of at most n
+    coordinates, so the product runs exactly in the narrowest integer type
+    that holds n: numpy has no BLAS path for integers, and narrower entries
+    move fewer bytes.
+    """
+    dtype = np.int16 if n < 1 << 15 else np.int32 if n < 1 << 31 else np.int64
+    c, t = np.divmod(bins, p)
+    src = c * p + (np.arange(p)[:, None] - t) % p  # shifted[j, r, l] = other[j, src[r, l]]
+    weights = np.ascontiguousarray(rows[:, bins].T, dtype=dtype)
+    other = other.astype(dtype)
+    out = np.empty((len(other), p, len(rows)), dtype=dtype)
+    step = max(1, _PAIR_BLOCK // src.size)
+    for lo in range(0, len(other), step):
+        np.matmul(other[lo:lo + step, src], weights, out=out[lo:lo + step])
+    return out
+
+
+def _first_of(inv: np.ndarray, n_rows: int) -> np.ndarray:
+    """One element (index) of each row group of inv."""
+    first = np.empty(n_rows, dtype=np.int64)
+    first[inv] = np.arange(len(inv))
+    return first
+
+
+def _scaling_orbits(f: FiniteField, inv: np.ndarray, n_rows: int):
+    """(reps, rep_of, scale): the rows to pair, and how every row follows from them.
+
+    For an element x of row i, with x = d u and u leading with 1
+    (`FiniteField.leading`), scale[i] = d and row i is that of d u, where u
+    lies in row reps[rep_of[i]].  The rows in reps are marked in a mask and
+    numbered by its running count, not by np.unique, whose first call in a
+    process maps close to 1 MB more.
+    """
+    lead, unit = f.leading()
+    first = _first_of(inv, n_rows)
+    rep_row = inv[unit[first]]
+    is_rep = np.zeros(n_rows, dtype=bool)
+    is_rep[rep_row] = True
+    return np.flatnonzero(is_rep), (np.cumsum(is_rep) - 1)[rep_row], lead[first].astype(np.int64)
+
+
+def _unfold(paired, orbits, f_o: FiniteField, inv_o, swap):
+    """Every row's tally from the paired rows: counts[i, j, r] = paired[j', r / d, rep_of[i]].
+
+    With d = scale[i] and b_j an element of other row j, j' is the row of
+    b_j / d.  One gather in blocks of at most `_PAIR_BLOCK` indices, each
+    block's indices built on their own; swap puts the orbit side on axis 1.
+    """
+    _, rep_of, scale = orbits
+    n_o, p, n_reps = paired.shape
+    inverse = np.array([0] + [pow(c, -1, p) for c in range(1, p)], dtype=np.int64)
+    d_inv = inverse[scale]
+    # scaled[s, j] = row of s b_j, for every s in F_p, as an offset into paired
+    digits = f_o.digits()[_first_of(inv_o, n_o)].astype(np.int64)
+    scaled = inv_o[f_o.indices_of(mod_p(np.arange(p)[:, None, None] * digits, p))] * (p * n_reps)
+    shift = mod_p(d_inv[:, None] * np.arange(p), p) * n_reps  # [i, r]
+    n = len(rep_of)
+    flat = paired.ravel()  # in the product's narrow type; each block widens as it is stored
+    counts = np.empty((n_o, n, p) if swap else (n, n_o, p), dtype=np.int64)
+    step = max(1, _PAIR_BLOCK // (counts.shape[1] * p))
+    for lo in range(0, len(counts), step):
+        hi = lo + step
+        if swap:  # rows j of the output, every i
+            index = (scaled[:, lo:hi][d_inv] + rep_of[:, None]).T[:, :, None] + shift[None]
+        else:
+            index = (scaled[d_inv[lo:hi]] + rep_of[lo:hi, None])[:, :, None] + shift[lo:hi, None]
+        counts[lo:hi] = flat[index]
+    return counts
 
 
 def symbol_count_table(ds: DefiningSet, budget: int | None = DEFAULT_BUDGET) -> np.ndarray:

@@ -410,6 +410,24 @@ class FiniteField:
                     acc += wrap[:, yk, :, p - s : 2 * p - s]
         return hist.reshape(q, n_classes * p)
 
+    def leading(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lead, unit): x = lead[x] unit[x] for every index x, with unit[x] leading with 1.
+
+        lead[x] is the first nonzero coefficient of x, low degree first (1 for
+        x = 0), and unit[x] the index of x / lead[x].  So unit[x] is the
+        element of the scaling orbit F_p* x whose first nonzero coefficient is
+        1, and x and c x share it for every c in F_p*.
+        """
+
+        def build():
+            d = self.digits()
+            lead = d[np.arange(self.q), (d != 0).argmax(axis=1)]
+            lead[0] = 1
+            inverse = np.array([0] + [pow(c, -1, self.p) for c in range(1, self.p)], dtype=np.int64)
+            return lead, self.indices_of(mod_p(d * inverse[lead][:, None], self.p))
+
+        return self.cached("leading", build)
+
     def lex_rank(self, rows) -> np.ndarray:
         """Position of each digit row in the lexicographic order of coefficient tuples."""
         return self.indices_of(np.asarray(rows)[..., ::-1])

@@ -86,10 +86,11 @@ def test_argument_errors_exit_2(capsys):
          "--modulus1", "1,0,2"],
         ["verify", "--sweep", "foo=1"],
         ["verify", "--sweep", "m1=3-1"],
+        ["verify", "--sweep", "p=3;m1=2;m2=2;maxq=80"],
         ["griesmer", "--p", "3", "--n", "10", "--k", "0", "--d", "3"],
     ],
     ids=["p-composite", "m1-zero", "modulus-not-monic", "sweep-unknown-key", "sweep-empty",
-         "griesmer-k-zero"],
+         "sweep-selects-none", "griesmer-k-zero"],
 )
 def test_bad_values_exit_2_with_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -411,6 +412,33 @@ def test_report_with_cwe_array_is_json_dumps_of_its_pairs(spec):
     assert ok
     pairs = [[row[:-1], row[-1]] for row in report["cwe"].tolist()]
     assert json_text(report) == json.dumps(dict(report, cwe=pairs), indent=2)
+
+
+def test_reversed_sweep_range_exits_2(capsys):
+    # a reversed range used to drop out silently, leaving the other values of the list
+    code, out, err = run(capsys, "verify", "--sweep", "p=3;m1=1,3-2;m2=1;u=1")
+    assert (code, out) == (2, "")
+    assert err == "error: range '3-2' is reversed\n"
+    with pytest.raises(ValueError, match="reversed"):
+        parse_sweep("p=3;m1=1;m2=1;u=2-1")
+
+
+def test_sweep_verifies_a_repeated_spec_once(capsys):
+    # lambda=1,4 at p = 3 names lambda = 1 twice, p=3,3 the prime twice
+    assert parse_sweep("p=3;m1=1;m2=1;u=1;lambda=1,4") == parse_sweep("p=3;m1=1;m2=1;u=1;lambda=1")
+    specs = parse_sweep("p=3,5,3;m1=1;m2=1;u=1,1;lambda=2,0,5;punctured=full")
+    assert [(s.p, s.lam) for s in specs] == [(3, 2), (3, 0), (5, 2), (5, 0)]
+    code, out, _ = run(capsys, "verify", "--sweep", "p=3;m1=1;m2=1;u=1;lambda=1,4", "--format", "json")
+    assert code == 0
+    assert [r["spec"]["punctured"] for r in json.loads(out)] == [False, True]
+
+
+def test_p131_verifies_within_the_default_budget(capsys):
+    # the pair stage pairs one A row per scaling orbit, over the nonempty bins of classes of
+    # at most 2 members: ~2.3e6 operations, where every row pair over all bins charged 2.5e9
+    code, out, _ = run(capsys, "verify", "--p", "131", "--m1", "1", "--m2", "1", "--u", "1", "--lambda", "1")
+    assert code == 0
+    assert out.startswith("p=131 m1=1 m2=1 u=1 lambda=1 full: [132,2,130] ") and "match=yes" in out
 
 
 def test_parse_sweep_defaults_cap():

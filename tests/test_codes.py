@@ -7,12 +7,15 @@ from itertools import product
 import numpy as np
 import pytest
 from conftest import enumeration_of, sweep_specs
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from weilcodes import codes, gf
 from weilcodes.codes import (
     BudgetExceeded,
     CodeSpec,
     DefiningSet,
+    _class_tally,
     _group_rows,
     build_defining_set,
     complete_weight_enumerator,
@@ -266,6 +269,31 @@ def test_budget_guard():
     assert complete_weight_enumerator(ds, budget=None).length == 20
 
 
+def test_budget_charges_the_orbit_pass():
+    # (13, 2, 2, 1, 0, punctured): 169 distinct A rows against 13 B rows; the 169 - 1 nonzero
+    # elements fall into 14 scaling orbits, whose elements leading with 1 (and 0) have 15 rows
+    # with 93 nonempty (class, t) bins.  Those pair with the 13 B rows, p = 13 symbols each,
+    # and the 169 x 13 x 13 entries of the other rows are gathered.
+    spec = CodeSpec(13, 2, 2, 1, 0, punctured=True)
+    ds = build_defining_set(spec)
+    f1, f2 = spec.field1, spec.field2
+    xs = np.concatenate([bx for bx, _ in ds.blocks])
+    ys = np.concatenate([by for _, by in ds.blocks])
+    labels_x = np.repeat(np.arange(len(ds.blocks)), [len(bx) for bx, _ in ds.blocks])
+    hist_a = f1.class_histograms(xs, labels_x, len(ds.blocks))
+    uniq_a = np.unique(hist_a, axis=0)
+    leads_with_one = [x for x in range(f1.q) if x == 0 or f1.coeffs_of(x)[np.flatnonzero(f1.coeffs_of(x))[0]] == 1]
+    rep_rows = np.unique(hist_a[leads_with_one], axis=0)
+    assert (len(uniq_a), len(rep_rows), np.count_nonzero(rep_rows.sum(axis=0))) == (169, 15, 93)
+    spent = f1.q + f2.q + histogram_split(len(xs), len(ds.blocks), 13, 2)[1] + \
+        histogram_split(len(ys), len(ds.blocks), 13, 2)[1]
+    total = spent + 15 * 93 * 13 * 13 + 169 * 13 * 13
+    with pytest.raises(BudgetExceeded) as exc:
+        complete_weight_enumerator(ds, budget=total - 1)
+    assert exc.value.required == total
+    assert complete_weight_enumerator(ds, budget=total).length == len(ds)
+
+
 def test_symbol_count_table_matches_encode():
     ds = build_defining_set(CodeSpec(3, 1, 2, 2, 1))
     table = symbol_count_table(ds)
@@ -347,6 +375,144 @@ def test_factorized_tally_matches_encode_rows(kind):
     assert all(type(k) is int for k in res.cwe.values())
     assert res.table.dtype == np.int64
     assert np.array_equal(res.table, table)
+
+
+def _reference_tally(ds, b_rows=None):
+    """The class tally as one tensordot of every distinct A row with a (|uB|, #classes, p, p) shifted copy of B.
+
+    b_rows, if given, picks the B rows to pair (the copy of all of them is
+    too large at p = 131); the result's axis 1 then follows b_rows.
+    """
+    spec = ds.spec
+    p = spec.p
+    f1, f2 = spec.field1, spec.field2
+    if len(ds) == 0:
+        return np.zeros((1, 1, p), dtype=np.int64), np.zeros(f1.q, dtype=np.int64), np.zeros(f2.q, dtype=np.int64)
+    n_classes = len(ds.blocks)
+    xs = np.concatenate([bx for bx, _ in ds.blocks])
+    ys = np.concatenate([by for _, by in ds.blocks])
+    hist_a = f1.class_histograms(xs, np.repeat(np.arange(n_classes), [len(bx) for bx, _ in ds.blocks]), n_classes)
+    hist_b = f2.class_histograms(ys, np.repeat(np.arange(n_classes), [len(by) for _, by in ds.blocks]), n_classes)
+    uniq_a, inv_a = _group_rows(hist_a)
+    uniq_b, inv_b = _group_rows(hist_b)
+    if b_rows is not None:
+        uniq_b = uniq_b[b_rows]
+    uniq_a = uniq_a.reshape(len(uniq_a), n_classes, p)
+    r_minus_t = (np.arange(p)[:, None] - np.arange(p)[None, :]) % p
+    shifted_b = uniq_b.reshape(len(uniq_b), n_classes, p)[:, :, r_minus_t]  # [b, c, r, t]
+    return np.tensordot(uniq_a, shifted_b, axes=([1, 2], [1, 3])), inv_a, inv_b
+
+
+def _assert_tally_is_the_reference(ds):
+    got, want = _class_tally(ds), _reference_tally(ds)
+    assert got[0].dtype == np.int64 and got[0].flags.c_contiguous, ds.spec
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w), ds.spec
+
+
+@pytest.mark.parametrize(
+    "kind", ["empty", "single-point", "flipped-representative", "random-subset", "p7-custom-moduli"]
+)
+def test_class_tally_equals_the_all_rows_tensordot(kind):
+    _assert_tally_is_the_reference(_hand_made_set(kind))
+
+
+# the three ways the tally can go: no orbit pass (p = 3, full: the +-a rows already coincide),
+# orbits on the A side, and orbits on the B side (more B rows than A rows)
+_TALLY_PATHS = {"plain": CodeSpec(3, 3, 3, 1, 1), "orbits-on-a": CodeSpec(13, 2, 2, 1, 0, punctured=True),
+                "orbits-on-b": CodeSpec(11, 1, 2, 1, 3, punctured=True, mod2=(7, 1, 1))}
+
+
+@pytest.mark.parametrize("path", list(_TALLY_PATHS))
+def test_class_tally_takes_each_path(monkeypatch, path):
+    seen = []
+    unfold = codes._unfold
+    monkeypatch.setattr(codes, "_unfold", lambda *args: seen.append(args[-1]) or unfold(*args))
+    _assert_tally_is_the_reference(build_defining_set(_TALLY_PATHS[path]))
+    assert seen == {"plain": [], "orbits-on-a": [False], "orbits-on-b": [True]}[path]
+
+
+# (p, m1, m2) of the differential draw: p^K <= 7^4, 13^3, 23^3
+_TALLY_SHAPES = [(p, m1, m2) for p, k_max in ((5, 4), (7, 4), (11, 3), (13, 3), (17, 3), (19, 3), (23, 3))
+                 for m1 in range(1, k_max) for m2 in range(1, k_max + 1 - m1)]
+
+
+@st.composite
+def _tally_specs(draw):
+    p, m1, m2 = draw(st.sampled_from(_TALLY_SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return CodeSpec(p, m1, m2, u=draw(st.integers(1, 3)), lam=draw(st.integers(0, p - 1)),
+                    punctured=draw(st.booleans()), mod1=_random_modulus(rng, p, m1) if m1 > 1 else None,
+                    mod2=_random_modulus(rng, p, m2) if m2 > 1 else None)
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None, database=None)
+@given(_tally_specs())
+def test_class_tally_equals_the_reference_on_random_moduli(spec):
+    _assert_tally_is_the_reference(build_defining_set(spec))
+
+
+def test_class_tally_at_p_131():
+    # n = 132 points in 34 classes of at most 2 members: the orbit pass pairs 2 of the 66 A rows
+    # over their ~100 nonempty bins; the reference pairs every A row with a seeded few B rows
+    ds = build_defining_set(CodeSpec(131, 1, 1, 1, 1))
+    counts, inv_a, inv_b = _class_tally(ds)
+    assert counts.shape == (66, 66, 131)
+    b_rows = np.random.default_rng(131).choice(66, size=2, replace=False)
+    want, want_a, want_b = _reference_tally(ds, b_rows)
+    assert np.array_equal(inv_a, want_a) and np.array_equal(inv_b, want_b)
+    assert np.array_equal(counts[:, b_rows], want)
+    f1, f2 = ds.spec.field1, ds.spec.field2
+    for a, b in np.random.default_rng(132).integers(0, 131, size=(20, 2)).tolist():
+        word = encode(ds, f1.from_index(a), f2.from_index(b))
+        assert counts[inv_a[a], inv_b[b]].tolist() == np.bincount(word, minlength=131).tolist()
+
+
+@pytest.mark.parametrize("spec", [CodeSpec(7, 2, 1, 1, 3, punctured=True),
+                                  CodeSpec(5, 1, 2, 2, 0, punctured=True, mod2=(2, 4, 1))], ids=str)
+def test_scaling_a_scales_the_codeword(spec):
+    # linearity: the codeword of (c a, b) is c times the codeword of (a, b / c)
+    ds = build_defining_set(spec)
+    f1, f2 = spec.field1, spec.field2
+    p = spec.p
+    rng = np.random.default_rng(spec.p)
+    for _ in range(30):
+        a, b = f1.from_index(int(rng.integers(f1.q))), f2.from_index(int(rng.integers(f2.q)))
+        c = int(rng.integers(1, p))
+        scaled = encode(ds, f1.scalar(c) * a, b)
+        assert scaled == [c * s % p for s in encode(ds, a, b / f2.scalar(c))]
+        want = np.bincount(encode(ds, a, b / f2.scalar(c)), minlength=p)
+        assert np.bincount(scaled, minlength=p).tolist() == want[np.arange(p) * pow(c, -1, p) % p].tolist()
+
+
+def _lex_least_in_orbit(f, scalars):
+    """Per index: the element is lex-smaller than each of its multiples c x, c in scalars."""
+    d = f.digits().astype(np.int64)
+    own = f.lex_rank(d)
+    return np.all([f.lex_rank(c * d % f.p) > own for c in scalars], axis=0)
+
+
+def test_puncture_filter_keeps_the_lex_least_of_each_orbit():
+    # every field with p <= 13 and q <= 30 000, with its default and a random modulus, as the
+    # x field and as the y field: the punctured set is the full one with the lex-least of each
+    # {c x} kept off x = 0, and of each {c y} on x = 0 (c != 0 for lambda = 0, else c = +-1)
+    rng = np.random.default_rng(30000)
+    fields = [(p, m, None) for p in (3, 5, 7, 11, 13) for m in range(1, 10) if p**m <= 30000]
+    fields += [(p, m, _random_modulus(rng, p, m)) for p, m, _ in fields if m > 1]
+    assert len(fields) == 51
+    for p, m, modulus in fields:
+        f = FiniteField(p, m, modulus)
+        for lam, scalars in ((0, range(2, p)), (1, (p - 1,))):
+            keep = _lex_least_in_orbit(f, scalars)
+            for spec in (CodeSpec(p, m, 1, 1, lam, mod1=modulus), CodeSpec(p, 1, m, 1, lam, mod2=modulus)):
+                full = build_defining_set(spec)
+                keep_x = keep if spec.m1 == m else _lex_least_in_orbit(spec.field1, scalars)
+                keep_y = keep if spec.m2 == m else _lex_least_in_orbit(spec.field2, scalars)
+                kept = np.where(full.xs != 0, keep_x[full.xs], keep_y[full.ys])
+                punct = build_defining_set(replace(spec, punctured=True))
+                assert np.array_equal(punct.xs, full.xs[kept]), (spec, modulus)
+                assert np.array_equal(punct.ys, full.ys[kept]), (spec, modulus)
 
 
 def _near_duplicates(rng, shape, hi):

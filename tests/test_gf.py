@@ -326,3 +326,21 @@ def test_trace_of_products_does_not_wrap_above_p_127():
 def test_power_table_refuses_negative_exponent():
     with pytest.raises(GFError):
         field_create(3, 2).power_table(-1)
+
+
+@pytest.mark.parametrize("p,m,modulus", [(3, 1, None), (3, 5, None), (5, 3, (2, 0, 3, 1)), (13, 2, None), (131, 1, None)])
+def test_leading_splits_each_element_into_scalar_and_orbit_unit(p, m, modulus):
+    # x = lead(x) unit(x), with lead(x) the first nonzero coefficient (low degree first) and
+    # unit(x) leading with 1; every c x with c != 0 shares the unit
+    f = field_create(p, m, modulus)
+    lead, unit = f.leading()
+    assert lead[0] == 1 and unit[0] == 0
+    rng = random.Random(f.q)
+    for i in rng.sample(range(1, f.q), min(f.q - 1, 300)):
+        x = f.from_index(i)
+        first = next(c for c in x.coeffs if c)
+        assert lead[i] == first
+        assert f.scalar(first) * f.from_index(int(unit[i])) == x
+        assert next(c for c in f.from_index(int(unit[i])).coeffs if c) == 1
+        c = rng.randrange(1, p)
+        assert unit[(f.scalar(c) * x).index] == unit[i]
