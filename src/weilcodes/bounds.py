@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 def griesmer(p: int, k: int, d: int) -> int:
     """g_p(k, d) = sum of ceil(d / p^i) for i < k: the minimum length of any [n,k,d] code."""
-    if k < 1 or d < 1:
-        raise ValueError("need k >= 1 and d >= 1")
+    if p < 2 or k < 1 or d < 1:
+        raise ValueError("need p >= 2, k >= 1 and d >= 1")
     total = 0
     q = 1
     for _ in range(k):
@@ -38,6 +38,8 @@ def classify(p: int, n: int, k: int, d: int) -> GriesmerReport:
     The raw g(k, d) and the largest Griesmer-feasible d are reported so a
     caller can apply a stricter notion.
     """
+    if n < 0:
+        raise ValueError("need n >= 0")
     g_of_d = griesmer(p, k, d)
     # g(k, d) is nondecreasing in d and at least d, so the largest d with
     # g(k, d) <= n lies in [0, n]: bisect with lo feasible, hi not

@@ -423,13 +423,14 @@ def cmd_verify(args) -> int:
     single = args.sweep is None
     with _user_input():
         specs = [spec_from_args(args)] if single else parse_sweep(args.sweep)
-    reports = []
+    reports = []  # kept for JSON alone; text prints each spec's line as it goes
     all_ok = True
     for spec in specs:
         report, ok = run_report(spec, budget)
-        reports.append(report)
         all_ok &= ok
-        if args.format == "text":
+        if args.format == "json":
+            reports.append(report)
+        else:
             n, k, d = _parameters(report)
             gr = report["griesmer"]
             label = gr["classification"] if gr else "-"
@@ -444,7 +445,7 @@ def cmd_verify(args) -> int:
         _emit(reports[0] if single else reports)
     elif not single:
         status = "all match" if all_ok else "MISMATCH"
-        print(f"{len(reports)} specs verified: {status}")
+        print(f"{len(specs)} specs verified: {status}")
     return 0 if all_ok else 1
 
 

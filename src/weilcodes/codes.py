@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf import CompositeP, FFElement, FieldMismatch, FiniteField, cached_field, histogram_split, is_odd_prime, mod_p
+from .gf import CompositeP, FFElement, FieldMismatch, FiniteField, cached_field, histogram_split, is_odd_prime
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -225,44 +225,26 @@ def check_budget(required: int, budget: int | None, at_least: bool = False) -> N
 
 # a block of the pair stage holds at most this many entries (1 MB at int64) of shifted rows or gather indices
 _PAIR_BLOCK = 1 << 17
-# the orbit pass makes about twenty more array calls than plain pairing, worth this many multiply-adds
-_ORBIT_CALLS = 1 << 18
 
 
-def _class_tally(ds: DefiningSet, budget: int | None = None):
-    """(counts, inv_a, inv_b): the tally on distinct histogram rows, and each message's row.
+def _grouped_histograms(ds: DefiningSet, budget: int | None):
+    """(spent, (uniq_a, inv_a), (uniq_b, inv_b)): each side's distinct histogram rows, and each message's row.
 
-    counts[i, j, r] is the number of coordinates equal to r in the codeword
-    of any (a, b) with inv_a[a] = i and inv_b[b] = j.  The classes are the
-    product blocks X_c x Y_c of the defining set (at most p + 1 level blocks
-    on D_lambda).  With A_c[a, t] = #{x in X_c : Tr(a x) = t} and
-    B_c[b, t] = #{y in Y_c : Tr(b y) = t},
-
-        N[a, b, r] = sum_c sum_t A_c[a, t] B_c[b, r - t mod p],
-
-    formed on distinct rows of A and of B (`_pair_rows`).  It is exact in
-    integers and holds for any disjoint blocks.  By linearity the codeword of
-    (d a, b) is d times that of (a, b / d), so N[d a, b, r] = N[a, b / d, r / d]
-    for d in F_p*: on the side with more distinct rows, only the rows of
-    elements that lead with 1 (`FiniteField.leading`) need pairing, and one
-    gather rebuilds the others (`_scaling_orbits`, `_unfold`).  That pass is
-    taken only where the pair work it removes exceeds the gather it adds and
-    the cost of its own calls (`_ORBIT_CALLS`).
-
-    The budget charges the real cost: the q1 + q2 level values scanned for
-    the blocks, the two histograms (`histogram_split`), checked before any
-    array is built, and then, checked after grouping and before the pairs
-    are formed, the pair work (`_pair_rows`: paired rows x other rows x kept
-    (class, t) bins x p) plus, with the orbit pass, the |uA| |uB| p entries
-    it gathers.
+    The classes are the product blocks X_c x Y_c of the defining set (at
+    most p + 1 level blocks on D_lambda).  The rows are A_c[a, t] =
+    #{x in X_c : Tr(a x) = t} and B_c[b, t] = #{y in Y_c : Tr(b y) = t}
+    (`FiniteField.class_histograms`), grouped by `_group_rows`; an empty set
+    has one all-zero row on each side, shared by every message.  spent is
+    the cost so far, the q1 + q2 level values scanned for the blocks and the
+    two histograms (`histogram_split`), checked before any array is built.
     """
     spec = ds.spec
     p = spec.p
     f1, f2 = spec.field1, spec.field2
     spent = f1.q + f2.q
-    if len(ds) == 0:  # one all-zero row, shared by every message
-        check_budget(spent, budget)
-        return np.zeros((1, 1, p), dtype=np.int64), np.zeros(f1.q, dtype=np.int64), np.zeros(f2.q, dtype=np.int64)
+    if len(ds) == 0:
+        zero = np.zeros((1, p), dtype=np.int64)
+        return spent, (zero, np.zeros(f1.q, dtype=np.int64)), (zero, np.zeros(f2.q, dtype=np.int64))
     n_classes = len(ds.blocks)
     x_sizes = [len(bx) for bx, _ in ds.blocks]
     y_sizes = [len(by) for _, by in ds.blocks]
@@ -273,67 +255,57 @@ def _class_tally(ds: DefiningSet, budget: int | None = None):
     ys = np.concatenate([by for _, by in ds.blocks])
     hist_a = f1.class_histograms(xs, np.repeat(np.arange(n_classes), x_sizes), n_classes)
     hist_b = f2.class_histograms(ys, np.repeat(np.arange(n_classes), y_sizes), n_classes)
-    uniq_a, inv_a = _group_rows(hist_a)
-    uniq_b, inv_b = _group_rows(hist_b)
-    # the orbit side has the more rows; `swap` when that is the B side
-    swap = len(uniq_b) > len(uniq_a)
-    (rows, inv, f), (other, inv_o, f_o) = ((uniq_b, inv_b, f2), (uniq_a, inv_a, f1)) if swap else \
-        ((uniq_a, inv_a, f1), (uniq_b, inv_b, f2))
-    n, n_o = len(rows), len(other)
-    bins = _kept_bins(rows)
-    work = n * len(bins) * n_o * p
-    gather = n * n_o * p
-    # at least one row in p - 1 is paired; below that the pass cannot repay its gather and calls
-    if work * (p - 2) // (p - 1) > gather + _ORBIT_CALLS:
-        orbits = _scaling_orbits(f, inv, n)
-        rep_rows = rows[orbits[0]]
-        rep_bins = _kept_bins(rep_rows)
-        rep_work = len(rep_rows) * len(rep_bins) * n_o * p
-        if work - rep_work > gather + _ORBIT_CALLS:
-            check_budget(spent + rep_work + gather, budget)
-            paired = _pair_rows(rep_rows, rep_bins, other, p, len(ds))
-            return _unfold(paired, orbits, f_o, inv_o, swap), inv_a, inv_b
-    check_budget(spent + work, budget)
-    paired = _pair_rows(rows, bins, other, p, len(ds))  # [j, r, i]
-    return np.ascontiguousarray(paired.transpose((0, 2, 1) if swap else (2, 0, 1)), dtype=np.int64), inv_a, inv_b
+    return spent, _group_rows(hist_a), _group_rows(hist_b)
 
 
-def _kept_bins(rows: np.ndarray) -> np.ndarray:
-    """The (class, t) bins, c p + t, that are nonzero in some row: the only ones a pair reads."""
-    return np.flatnonzero(rows.sum(axis=0))  # the entries are counts, so a zero sum is an empty bin
+def _class_tally(ds: DefiningSet, budget: int | None = None):
+    """(counts, inv_a, inv_b): the tally on distinct histogram rows, and each message's row.
+
+    counts[i, j, r] is the number of coordinates equal to r in the codeword
+    of any (a, b) with inv_a[a] = i and inv_b[b] = j:
+
+        N[a, b, r] = sum_c sum_t A_c[a, t] B_c[b, r - t mod p],
+
+    every A row paired with every B row (`_grouped_histograms`,
+    `_pair_rows`).  It is exact in integers and holds for any disjoint
+    blocks.  Only the (q1, q2, p) table readers read it; the budget is
+    charged as in `complete_weight_enumerator`, with every A row paired.
+    """
+    p = ds.spec.p
+    spent, (uniq_a, inv_a), (uniq_b, inv_b) = _grouped_histograms(ds, budget)
+    paired = _pair_rows(uniq_a, uniq_b, p, len(ds), budget, spent + len(uniq_a) * len(uniq_b) * p)  # [j, r, i]
+    return np.ascontiguousarray(paired.transpose(2, 0, 1), dtype=np.int64), inv_a, inv_b
 
 
-def _pair_rows(rows: np.ndarray, bins: np.ndarray, other: np.ndarray, p: int, n: int) -> np.ndarray:
+def _pair_rows(rows: np.ndarray, other: np.ndarray, p: int, n: int, budget: int | None, spent: int) -> np.ndarray:
     """(len(other), p, len(rows)): [j, r, i] = sum_c sum_t rows[i, c p + t] other[j, c p + (r - t) mod p].
 
-    The sum runs over the kept bins (`_kept_bins`) alone, so a thin class
-    side (fewer than p members, most bins empty) costs its members, not p.
-    It is one integer matrix product per block of other rows: the block's
-    rows shifted by every t, (block, p, kept), times the kept columns of
-    rows, transposed.  That order reads the large operand once, row by row,
-    and a block holds at most `_PAIR_BLOCK` shifted entries.  Every term and
-    partial sum is non-negative and at most the total, a count of at most n
-    coordinates, so the product runs exactly in the narrowest integer type
-    that holds n: numpy has no BLAS path for integers, and narrower entries
-    move fewer bytes.
+    The sum runs over the kept bins alone, the (class, t) bins c p + t that
+    are nonzero in some row of rows, so a thin class side (fewer than p
+    members, most bins empty) costs its members, not p.  The budget is
+    checked once, before any pair is formed: spent, the caller's share, plus
+    len(rows) x kept bins x len(other) x p multiply-adds.  It is one integer
+    matrix product per block of other rows: the block's rows shifted by
+    every t, (block, p, kept), times the kept columns of rows, transposed.
+    That order reads the large operand once, row by row, and a block holds
+    at most `_PAIR_BLOCK` shifted entries.  Every term and partial sum is
+    non-negative and at most the total, a count of at most n coordinates, so
+    the product runs exactly in the narrowest integer type that holds n:
+    numpy has no BLAS path for integers, and narrower entries move fewer
+    bytes.
     """
+    bins = np.flatnonzero(rows.sum(axis=0))  # the entries are counts, so a zero sum is an empty bin
+    check_budget(spent + len(rows) * len(bins) * len(other) * p, budget)
     dtype = np.int16 if n < 1 << 15 else np.int32 if n < 1 << 31 else np.int64
     c, t = np.divmod(bins, p)
     src = c * p + (np.arange(p)[:, None] - t) % p  # shifted[j, r, l] = other[j, src[r, l]]
     weights = np.ascontiguousarray(rows[:, bins].T, dtype=dtype)
     other = other.astype(dtype)
     out = np.empty((len(other), p, len(rows)), dtype=dtype)
-    step = max(1, _PAIR_BLOCK // src.size)
+    step = max(1, _PAIR_BLOCK // max(src.size, 1))  # an empty set keeps no bins
     for lo in range(0, len(other), step):
         np.matmul(other[lo:lo + step, src], weights, out=out[lo:lo + step])
     return out
-
-
-def _first_of(inv: np.ndarray, n_rows: int) -> np.ndarray:
-    """One element (index) of each row group of inv."""
-    first = np.empty(n_rows, dtype=np.int64)
-    first[inv] = np.arange(len(inv))
-    return first
 
 
 def _scaling_orbits(f: FiniteField, inv: np.ndarray, n_rows: int):
@@ -346,40 +318,12 @@ def _scaling_orbits(f: FiniteField, inv: np.ndarray, n_rows: int):
     process maps close to 1 MB more.
     """
     lead, unit = f.leading()
-    first = _first_of(inv, n_rows)
+    first = np.empty(n_rows, dtype=np.int64)  # one element of each row
+    first[inv] = np.arange(len(inv))
     rep_row = inv[unit[first]]
     is_rep = np.zeros(n_rows, dtype=bool)
     is_rep[rep_row] = True
     return np.flatnonzero(is_rep), (np.cumsum(is_rep) - 1)[rep_row], lead[first].astype(np.int64)
-
-
-def _unfold(paired, orbits, f_o: FiniteField, inv_o, swap):
-    """Every row's tally from the paired rows: counts[i, j, r] = paired[j', r / d, rep_of[i]].
-
-    With d = scale[i] and b_j an element of other row j, j' is the row of
-    b_j / d.  One gather in blocks of at most `_PAIR_BLOCK` indices, each
-    block's indices built on their own; swap puts the orbit side on axis 1.
-    """
-    _, rep_of, scale = orbits
-    n_o, p, n_reps = paired.shape
-    inverse = np.array([0] + [pow(c, -1, p) for c in range(1, p)], dtype=np.int64)
-    d_inv = inverse[scale]
-    # scaled[s, j] = row of s b_j, for every s in F_p, as an offset into paired
-    digits = f_o.digits()[_first_of(inv_o, n_o)].astype(np.int64)
-    scaled = inv_o[f_o.indices_of(mod_p(np.arange(p)[:, None, None] * digits, p))] * (p * n_reps)
-    shift = mod_p(d_inv[:, None] * np.arange(p), p) * n_reps  # [i, r]
-    n = len(rep_of)
-    flat = paired.ravel()  # in the product's narrow type; each block widens as it is stored
-    counts = np.empty((n_o, n, p) if swap else (n, n_o, p), dtype=np.int64)
-    step = max(1, _PAIR_BLOCK // (counts.shape[1] * p))
-    for lo in range(0, len(counts), step):
-        hi = lo + step
-        if swap:  # rows j of the output, every i
-            index = (scaled[:, lo:hi][d_inv] + rep_of[:, None]).T[:, :, None] + shift[None]
-        else:
-            index = (scaled[d_inv[lo:hi]] + rep_of[lo:hi, None])[:, :, None] + shift[lo:hi, None]
-        counts[lo:hi] = flat[index]
-    return counts
 
 
 def symbol_count_table(ds: DefiningSet, budget: int | None = DEFAULT_BUDGET) -> np.ndarray:
@@ -406,8 +350,8 @@ class EnumerationResult:
     compositions in lexicographic order ((rows, p) int64), and `freq`, the
     number of codewords of each (int64).  `cwe` is the same enumerator as a
     dict, composition tuple -> int in that order, built the first time it is
-    read.  `table` is the (q1, q2, p) tally of `symbol_count_table`,
-    expanded from the class tally the first time it is read.
+    read.  `table` is the (q1, q2, p) tally of `symbol_count_table`, paired
+    from the defining set `ds` the first time it is read.
     """
 
     length: int
@@ -415,7 +359,7 @@ class EnumerationResult:
     comps: np.ndarray
     freq: np.ndarray
     we: dict[int, int]
-    _tally: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
+    ds: DefiningSet = field(repr=False)
 
     @cached_property
     def cwe(self) -> dict[tuple[int, ...], int]:
@@ -423,7 +367,7 @@ class EnumerationResult:
 
     @cached_property
     def table(self) -> np.ndarray:
-        return _expand(*self._tally)
+        return _expand(*_class_tally(self.ds))
 
     @property
     def min_distance(self) -> int:
@@ -435,25 +379,50 @@ def complete_weight_enumerator(
 ) -> EnumerationResult:
     """Tally the composition vector of every codeword; project to the weight enumerator.
 
-    The compositions are the rows of the class tally: row (i, j) stands for
-    the #{a : inv_a[a] = i} #{b : inv_b[b] = j} message pairs that share
-    it.  Equal rows are sorted into runs (`_sorted_groups`) and each run's
+    By linearity the codeword of (d a, b) is d times that of (a, b / d), so
+    N[d a, b, r] = N[a, b / d, r / d] for d in F_p*.  The histogram row of
+    b / d is that of b with its t axis scaled by d, so b -> b / d permutes
+    the distinct B rows and keeps each row's size.  A CWE is a multiset, so
+    the compositions of row i of A against the B rows are those of its
+    scaling-orbit row against the same rows, read at r / d_i: with a = d_i u
+    and u leading with 1 (`_scaling_orbits`), row (i, j') is
+    paired[j', r / d_i, rep_of[i]] for |A row i| |B row j'| messages.  So
+    only the rows of elements leading with 1 are paired (`_pair_rows`), on
+    the side with more distinct rows (the same holds with A and B swapped),
+    and one blocked gather reads every row from them, orbit-row-major.
+    Equal rows are sorted into runs (`_sorted_groups`) and each run's
     weights summed in int64, giving the result's `comps` (lexicographic
     order) and `freq`; the WE and the dimension come from their zero-symbol
     column, summed per run of equal zeros first (`we_and_dimension`), and
-    the `cwe` dict is left until it is read.  The budget is charged as in
-    `_class_tally`.
+    the `cwe` dict is left until it is read.
+
+    The budget charges the real cost: the scan and the histograms
+    (`_grouped_histograms`), then, checked before any pair is formed, the
+    paired rows x kept bins x other rows x p multiply-adds plus the
+    rows x other rows x p entries gathered.
     """
     spec = ds.spec
     p = spec.p
     n = len(ds)
-    counts, inv_a, inv_b = _class_tally(ds, budget)
-    rows = counts.reshape(-1, p)
-    order, cut = _sorted_groups(rows)
+    spent, side_a, side_b = _grouped_histograms(ds, budget)
+    sides = [(*side_a, spec.field1), (*side_b, spec.field2)]  # scale the side with more distinct rows
+    (rows, inv, f), (other, inv_o, _) = sides[::-1] if len(side_b[0]) > len(side_a[0]) else sides
+    reps, rep_of, scale = _scaling_orbits(f, inv, len(rows))
+    paired = _pair_rows(rows[reps], other, p, n, budget, spent + len(rows) * len(other) * p)  # [j, r, rep]
+    inverse = np.array([0] + [pow(c, -1, p) for c in range(1, p)], dtype=np.int64)
+    offsets = (inverse[scale][:, None] * np.arange(p) % p) * len(reps) + rep_of[:, None]  # [i, r]
+    other_at = np.arange(len(other))[:, None] * (p * len(reps))  # [j, 1]
+    flat = paired.ravel()  # in the product's narrow type; each block widens as it is stored
+    counts = np.empty((len(rows), len(other), p), dtype=np.int64)
+    step = max(1, _PAIR_BLOCK // (len(other) * p))
+    for lo in range(0, len(rows), step):
+        counts[lo:lo + step] = flat[offsets[lo:lo + step, None] + other_at]
+    del paired, flat  # the narrow product is not needed for the sort
+    all_rows = counts.reshape(-1, p)
+    order, cut = _sorted_groups(all_rows)
     starts = np.flatnonzero(cut)
-    comps = rows[order[starts]]
-    weight = np.outer(np.bincount(inv_a, minlength=counts.shape[0]),
-                      np.bincount(inv_b, minlength=counts.shape[1])).ravel()
+    comps = all_rows[order[starts]]
+    weight = np.outer(np.bincount(inv, minlength=len(rows)), np.bincount(inv_o, minlength=len(other))).ravel()
     freq = np.add.reduceat(weight[order], starts)
     # column 0 is non-decreasing in lexicographic order: one entry per run of equal zeros
     zeros = comps[:, 0]
@@ -461,8 +430,7 @@ def complete_weight_enumerator(
     we, dim = we_and_dimension(zeros[runs].tolist(), np.add.reduceat(freq, runs).tolist(), n, spec.K, p)
     if dim is None:
         raise AssertionError("zero-codeword count is not a power of p")
-    return EnumerationResult(length=n, dimension=dim, comps=comps, freq=freq, we=we,
-                             _tally=(counts, inv_a, inv_b))
+    return EnumerationResult(length=n, dimension=dim, comps=comps, freq=freq, we=we, ds=ds)
 
 
 def min_weight(weights) -> int:

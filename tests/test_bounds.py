@@ -11,6 +11,11 @@ def test_griesmer_sums():
     assert griesmer(5, 1, 7) == 7
     with pytest.raises(ValueError):
         griesmer(3, 0, 1)
+    for p in (0, 1):  # p = 0 once divided by zero, p = 1 summed k d
+        with pytest.raises(ValueError):
+            griesmer(p, 2, 1)
+    with pytest.raises(ValueError):
+        classify(3, -5, 2, 1)
 
 
 def test_griesmer_monotone_and_weight_one():
@@ -67,7 +72,9 @@ def _max_d_linear(p, n, k):
 def test_classify_bisection_matches_linear_scan():
     for p in (3, 5, 7):
         for k in range(1, 6):
-            for n in range(-1, 90):
+            with pytest.raises(ValueError):  # a negative length is refused, not classified
+                classify(p, -1, k, 1)
+            for n in range(0, 90):
                 want = _max_d_linear(p, n, k)
                 for d in (1, 2, max(1, want), want + 1, want + 2):
                     rep = classify(p, n, k, d)

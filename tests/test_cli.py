@@ -88,9 +88,12 @@ def test_argument_errors_exit_2(capsys):
         ["verify", "--sweep", "m1=3-1"],
         ["verify", "--sweep", "p=3;m1=2;m2=2;maxq=80"],
         ["griesmer", "--p", "3", "--n", "10", "--k", "0", "--d", "3"],
+        ["griesmer", "--p", "0", "--n", "5", "--k", "2", "--d", "1"],
+        ["griesmer", "--p", "1", "--n", "5", "--k", "2", "--d", "1"],
+        ["griesmer", "--p", "3", "--n", "-5", "--k", "2", "--d", "1"],
     ],
     ids=["p-composite", "m1-zero", "modulus-not-monic", "sweep-unknown-key", "sweep-empty",
-         "sweep-selects-none", "griesmer-k-zero"],
+         "sweep-selects-none", "griesmer-k-zero", "griesmer-p-zero", "griesmer-p-one", "griesmer-n-negative"],
 )
 def test_bad_values_exit_2_with_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)

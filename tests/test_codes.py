@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from conftest import enumeration_of, sweep_specs
+from conftest import defining_set_of, enumeration_of, sweep_specs
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -255,14 +255,16 @@ def test_no_identically_zero_coordinate():
 def test_budget_guard():
     # blocks (|X_c|, |Y_c|) = (4, 1), (2, 4), (2, 4) in F_9 x F_9: the scan
     # reads 9 + 9 level values, the direct counts (g = m = 2) write 8 * 9 and
-    # 9 * 9 keys, and the 4 x 3 distinct row pairs cost 3 classes * 3^2 each
+    # 9 * 9 keys.  Each of the 4 distinct A rows holds a and -a, one of which
+    # leads with 1, so all 4 are paired with the 3 B rows at 3 classes * 3^2
+    # each, and the 4 x 3 row pairs gather 3 symbols each
     ds = build_defining_set(CodeSpec(3, 2, 2, 1, 0))
     histograms = 18 + 72 + 81
-    total = histograms + 4 * 3 * 3 * 9
+    total = histograms + 4 * 3 * 3 * 9 + 4 * 3 * 3
     with pytest.raises(BudgetExceeded, match="needs at least 171 operations") as exc:
         complete_weight_enumerator(ds, budget=histograms - 1)
     assert exc.value.required == histograms
-    with pytest.raises(BudgetExceeded, match="needs 495 operations") as exc:
+    with pytest.raises(BudgetExceeded, match="needs 531 operations") as exc:
         complete_weight_enumerator(ds, budget=total - 1)
     assert exc.value.required == total
     assert complete_weight_enumerator(ds, budget=total).length == 20
@@ -377,12 +379,8 @@ def test_factorized_tally_matches_encode_rows(kind):
     assert np.array_equal(res.table, table)
 
 
-def _reference_tally(ds, b_rows=None):
-    """The class tally as one tensordot of every distinct A row with a (|uB|, #classes, p, p) shifted copy of B.
-
-    b_rows, if given, picks the B rows to pair (the copy of all of them is
-    too large at p = 131); the result's axis 1 then follows b_rows.
-    """
+def _reference_tally(ds):
+    """The class tally as one tensordot of every distinct A row with a (|uB|, #classes, p, p) shifted copy of B."""
     spec = ds.spec
     p = spec.p
     f1, f2 = spec.field1, spec.field2
@@ -395,8 +393,6 @@ def _reference_tally(ds, b_rows=None):
     hist_b = f2.class_histograms(ys, np.repeat(np.arange(n_classes), [len(by) for _, by in ds.blocks]), n_classes)
     uniq_a, inv_a = _group_rows(hist_a)
     uniq_b, inv_b = _group_rows(hist_b)
-    if b_rows is not None:
-        uniq_b = uniq_b[b_rows]
     uniq_a = uniq_a.reshape(len(uniq_a), n_classes, p)
     r_minus_t = (np.arange(p)[:, None] - np.arange(p)[None, :]) % p
     shifted_b = uniq_b.reshape(len(uniq_b), n_classes, p)[:, :, r_minus_t]  # [b, c, r, t]
@@ -410,6 +406,23 @@ def _assert_tally_is_the_reference(ds):
         assert np.array_equal(g, w), ds.spec
 
 
+def _reference_cwe(ds):
+    """The CWE as a Counter over `_reference_tally`: row (i, j) for #{a in row i} #{b in row j} messages."""
+    counts, inv_a, inv_b = _reference_tally(ds)
+    n_a, n_b = np.bincount(inv_a), np.bincount(inv_b)
+    cwe = Counter()
+    for i, j in product(range(counts.shape[0]), range(counts.shape[1])):
+        cwe[tuple(counts[i, j].tolist())] += int(n_a[i] * n_b[j])
+    return cwe
+
+
+def _assert_cwe_is_the_reference(ds):
+    res, want = complete_weight_enumerator(ds, budget=None), _reference_cwe(ds)
+    assert res.comps.dtype == np.int64 and res.freq.dtype == np.int64, ds.spec
+    assert res.comps.tolist() == sorted(map(list, want)), ds.spec
+    assert res.freq.tolist() == [want[tuple(c)] for c in res.comps.tolist()], ds.spec
+
+
 @pytest.mark.parametrize(
     "kind", ["empty", "single-point", "flipped-representative", "random-subset", "p7-custom-moduli"]
 )
@@ -417,19 +430,15 @@ def test_class_tally_equals_the_all_rows_tensordot(kind):
     _assert_tally_is_the_reference(_hand_made_set(kind))
 
 
-# the three ways the tally can go: no orbit pass (p = 3, full: the +-a rows already coincide),
-# orbits on the A side, and orbits on the B side (more B rows than A rows)
-_TALLY_PATHS = {"plain": CodeSpec(3, 3, 3, 1, 1), "orbits-on-a": CodeSpec(13, 2, 2, 1, 0, punctured=True),
+# the three ways the CWE's orbit pass can fall: it pairs every row (p = 3, full: the +-a rows
+# already coincide), orbits on the A side, and orbits on the B side (more B rows than A rows)
+_ORBIT_SIDES = {"plain": CodeSpec(3, 3, 3, 1, 1), "orbits-on-a": CodeSpec(13, 2, 2, 1, 0, punctured=True),
                 "orbits-on-b": CodeSpec(11, 1, 2, 1, 3, punctured=True, mod2=(7, 1, 1))}
 
 
-@pytest.mark.parametrize("path", list(_TALLY_PATHS))
-def test_class_tally_takes_each_path(monkeypatch, path):
-    seen = []
-    unfold = codes._unfold
-    monkeypatch.setattr(codes, "_unfold", lambda *args: seen.append(args[-1]) or unfold(*args))
-    _assert_tally_is_the_reference(build_defining_set(_TALLY_PATHS[path]))
-    assert seen == {"plain": [], "orbits-on-a": [False], "orbits-on-b": [True]}[path]
+@pytest.mark.parametrize("side", list(_ORBIT_SIDES))
+def test_cwe_equals_the_reference_on_each_orbit_side(side):
+    _assert_cwe_is_the_reference(build_defining_set(_ORBIT_SIDES[side]))
 
 
 # (p, m1, m2) of the differential draw: p^K <= 7^4, 13^3, 23^3
@@ -450,23 +459,28 @@ def _tally_specs(draw):
 @settings(max_examples=60, deadline=None, database=None)
 @given(_tally_specs())
 def test_class_tally_equals_the_reference_on_random_moduli(spec):
-    _assert_tally_is_the_reference(build_defining_set(spec))
+    ds = build_defining_set(spec)
+    _assert_tally_is_the_reference(ds)
+    _assert_cwe_is_the_reference(ds)
 
 
-def test_class_tally_at_p_131():
+def test_cwe_at_p_131_counts_every_codeword():
     # n = 132 points in 34 classes of at most 2 members: the orbit pass pairs 2 of the 66 A rows
-    # over their ~100 nonempty bins; the reference pairs every A row with a seeded few B rows
+    # over their ~100 nonempty bins.  The reference encodes all 131^2 codewords at once, as the
+    # trace-form rows of a and of b read at the points
     ds = build_defining_set(CodeSpec(131, 1, 1, 1, 1))
-    counts, inv_a, inv_b = _class_tally(ds)
-    assert counts.shape == (66, 66, 131)
-    b_rows = np.random.default_rng(131).choice(66, size=2, replace=False)
-    want, want_a, want_b = _reference_tally(ds, b_rows)
-    assert np.array_equal(inv_a, want_a) and np.array_equal(inv_b, want_b)
-    assert np.array_equal(counts[:, b_rows], want)
     f1, f2 = ds.spec.field1, ds.spec.field2
-    for a, b in np.random.default_rng(132).integers(0, 131, size=(20, 2)).tolist():
-        word = encode(ds, f1.from_index(a), f2.from_index(b))
-        assert counts[inv_a[a], inv_b[b]].tolist() == np.bincount(word, minlength=131).tolist()
+    ta, tb = f1.trace_forms(np.arange(f1.q))[:, ds.xs], f2.trace_forms(np.arange(f2.q))[:, ds.ys]
+    words = (ta[:, None, :] + tb[None]).reshape(-1, len(ds)) % 131
+    keys = np.arange(len(words))[:, None] * 131 + words
+    comps = np.bincount(keys.ravel(), minlength=len(words) * 131).reshape(-1, 131)
+    want = Counter(map(tuple, comps.tolist()))
+    res = complete_weight_enumerator(ds)
+    assert res.comps.tolist() == sorted(map(list, want))
+    assert res.freq.tolist() == [want[tuple(c)] for c in res.comps.tolist()]
+    # and one codeword through `encode`
+    word = encode(ds, f1.from_index(5), f2.from_index(7))
+    assert np.bincount(word, minlength=131).tolist() == comps[5 * 131 + 7].tolist()
 
 
 @pytest.mark.parametrize("spec", [CodeSpec(7, 2, 1, 1, 3, punctured=True),
@@ -561,11 +575,15 @@ def test_we_and_dimension_has_no_dimension_without_a_power_of_p_kernel():
 
 @pytest.mark.parametrize("zero_codewords", [0, 6])
 def test_complete_weight_enumerator_refuses_a_zero_count_not_a_power_of_p(monkeypatch, zero_codewords):
-    # a planted tally over the 3 x 3 messages of (3, 1, 1): the zero composition (2, 0, 0)
-    # for 0 of them or for 6, and (1, 1, 0) for the rest
-    inv_a = np.array([0, 0, 1]) if zero_codewords else np.ones(3, dtype=np.int64)
-    counts = np.array([[[2, 0, 0]], [[1, 1, 0]]], dtype=np.int64)
-    monkeypatch.setattr(codes, "_class_tally", lambda ds, budget: (counts, inv_a, np.zeros(3, dtype=np.int64)))
+    # planted histogram rows over the 3 x 3 messages of (3, 1, 1), one class: every b in the B
+    # row (1, 0, 0), which pairs each A row to itself.  For 6 messages, a = 1, 2 share the row of
+    # the zero composition (2, 0, 0) and a = 0 has (1, 1, 0); for none, every a shares (1, 1, 0)
+    if zero_codewords:
+        side_a = (np.array([[2, 0, 0], [1, 1, 0]]), np.array([1, 0, 0]))
+    else:
+        side_a = (np.array([[1, 1, 0]]), np.zeros(3, dtype=np.int64))
+    side_b = (np.array([[1, 0, 0]]), np.zeros(3, dtype=np.int64))
+    monkeypatch.setattr(codes, "_grouped_histograms", lambda ds, budget: (0, side_a, side_b))
     with pytest.raises(AssertionError, match="not a power of p"):
         complete_weight_enumerator(build_defining_set(CodeSpec(3, 1, 1, 1, 1)))
 
@@ -578,7 +596,7 @@ _PUNCTURED_P7_P13 = [CodeSpec(7, 2, 2, 1, 0, True), CodeSpec(7, 2, 2, 1, 3, True
 def test_measured_cwe_equals_a_plain_sum_over_the_class_tally(specs):
     for spec in specs:
         res = enumeration_of(spec)
-        counts, inv_a, inv_b = res._tally
+        counts, inv_a, inv_b = _class_tally(defining_set_of(spec))
         n_a, n_b = Counter(inv_a.tolist()), Counter(inv_b.tolist())
         cwe, we = Counter(), Counter()
         for (i, row), j in product(enumerate(counts.tolist()), range(counts.shape[1])):
