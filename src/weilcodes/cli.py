@@ -82,8 +82,13 @@ def spec_dict(spec: CodeSpec) -> dict:
     return d
 
 
-def _parse_modulus(text):
-    return tuple(int(c) for c in text.split(",")) if text else None
+def _parse_modulus(text, flag):
+    """The coefficients of a --modulus1/--modulus2 value, or None where the flag is absent."""
+    if text is None:
+        return None
+    if not text.strip():
+        raise ValueError(f"--{flag} is empty: give the coefficients, low degree first")
+    return tuple(int(c) for c in text.split(","))
 
 
 def spec_from_args(args) -> CodeSpec:
@@ -95,8 +100,8 @@ def spec_from_args(args) -> CodeSpec:
         args.u,
         args.lam,
         punctured=args.punctured,
-        mod1=_parse_modulus(args.modulus1),
-        mod2=_parse_modulus(args.modulus2),
+        mod1=_parse_modulus(args.modulus1, "modulus1"),
+        mod2=_parse_modulus(args.modulus2, "modulus2"),
     )
     spec.field1, spec.field2  # building each field checks its modulus
     return spec

@@ -21,7 +21,11 @@ A single element (`FFElement`) keeps the index or the coefficients it was
 built from and derives the other on first read, so `from_index` and `.index`
 are O(1).  Its products, powers, inverse, trace and quadratic character work
 on the coefficients in pure-Python polynomial arithmetic, which is faster
-than a one-row array product, as is the irreducibility test.  Derived data is
+than a one-row array product.  The irreducibility test that checks every
+modulus works the same way.  It is Ben-Or's: f of degree m is irreducible
+iff gcd(X^{p^k} - X, f) = 1 for k = 1 .. m // 2.  That is exact, because a
+reducible f has an irreducible factor of degree d <= m / 2, which divides
+X^{p^d} - X; the test stops at the first k that finds one.  Derived data is
 kept in each field's own cache, so it is freed with the field.
 """
 
@@ -75,20 +79,6 @@ def mod_p(x: np.ndarray, p: int) -> np.ndarray:
     r *= p
     np.subtract(x, r, out=r)
     return r
-
-
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +146,15 @@ def _poly_gcd(a, b, p):
 
 
 def is_irreducible(modulus, p: int) -> bool:
-    """Rabin test: X^{p^m} == X mod f, and gcd(X^{p^{m/r}} - X, f) = 1 for primes r | m."""
+    """Ben-Or's test: gcd(X^{p^k} - X, f) = 1 for every k <= m / 2.
+
+    Exact, not probabilistic: a reducible monic f of degree m has an
+    irreducible factor g of degree d <= m / 2 (a repeated factor included),
+    and g divides X^{p^d} - X, whose roots are all of F_{p^d}; an
+    irreducible f has no root in F_{p^k} for k < m.  The test stops at the
+    first k with a nontrivial gcd, so most reducible f cost a few p-th powers
+    (Ben-Or 1981; Gao & Panario, FoCM 1997).
+    """
     mod = tuple(c % p for c in modulus)
     m = len(mod) - 1
     if m < 1 or mod[-1] != 1:
@@ -166,12 +164,10 @@ def is_irreducible(modulus, p: int) -> bool:
     if mod[0] == 0:  # X divides it
         return False
     x = (0, 1) + (0,) * (m - 2)
-    if _poly_powmod(x, p**m, mod, p) != x:
-        return False
-    for r in _prime_factors(m):
-        h = _poly_powmod(x, p ** (m // r), mod, p)
-        diff = tuple((h[i] - x[i]) % p for i in range(m))
-        if len(_poly_gcd(diff, mod, p)) > 1:
+    h = x
+    for _ in range(m // 2):
+        h = _poly_powmod(h, p, mod, p)  # X^{p^k} mod f
+        if len(_poly_gcd(tuple((a - b) % p for a, b in zip(h, x)), mod, p)) > 1:
             return False
     return True
 
@@ -180,7 +176,8 @@ def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree m (low-degree coeffs compared first)."""
     if m == 1:
         return (0, 1)  # X itself: F_p presented with the degree-1 convention
-    lower = [0] * m
+    # X divides every candidate with c_0 = 0, so the odometer starts at c_0 = 1
+    lower = [1] + [0] * (m - 1)
     while True:
         cand = tuple(lower) + (1,)
         if is_irreducible(cand, p):
@@ -309,9 +306,13 @@ class FiniteField:
         """(q, m) int16 array whose row i holds the coefficients of the element of index i."""
 
         def build():
+            # column by column into the int16 result: no (q, m) int64 temporary
             idx = np.arange(self.q, dtype=np.int64)
-            cols = [mod_p(idx // self.p**k, self.p) for k in range(self.m)]
-            return np.stack(cols, axis=1).astype(np.int16)
+            out = np.empty((self.q, self.m), dtype=np.int16)
+            for k in range(self.m):
+                out[:, k] = mod_p(idx, self.p)
+                idx //= self.p
+            return out
 
         return self.cached("digits", build)
 
@@ -469,13 +470,14 @@ class FiniteField:
         (x^{e_k})^{p^k}: each p^k-th power is the digit rows times
         `frob_matrix(k)`, and each x^d, d < p, is assembled once per distinct
         digit from the squares x^{2^j}.  So x^{p^u + 1} costs one `mulmod`
-        and x^2 one square.
+        and x^2 one square.  The rows go in blocks, each `mulmod` product
+        holding at most _BLOCK entries.
         """
         if e < 0:
             raise GFError(f"power_table needs a nonnegative exponent, got {e}")
 
-        def build():
-            squares = [self.digits()]  # x^(2^j), shared by every digit
+        def powers(rows):
+            squares = [rows]  # x^(2^j), shared by every digit
             of_digit = {}  # x^d per digit value d in use
             out = None
             rest, k = e, 0
@@ -490,9 +492,17 @@ class FiniteField:
                     term = mod_p(of_digit[d] @ self.frob_matrix(k), self.p)
                     out = term if out is None else self.mulmod(out, term)
                 k += 1
-            if out is None:  # e = 0
+            return self.indices_of(out)
+
+        def build():
+            if e == 0:
                 return np.ones(self.q, dtype=np.int32)
-            return self.indices_of(out).astype(np.int32)
+            digits = self.digits()
+            out = np.empty(self.q, dtype=np.int32)
+            step = max(1, _BLOCK // (2 * self.m - 1))
+            for lo in range(0, self.q, step):
+                out[lo : lo + step] = powers(digits[lo : lo + step])
+            return out
 
         return self.cached(("pow", e), build)
 

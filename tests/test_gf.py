@@ -2,10 +2,12 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from weilcodes import gf
 from weilcodes.gf import (
     CompositeP,
     DivisionByZero,
@@ -41,7 +43,8 @@ def test_smallest_irreducible_matches_scan():
     assert field_create(3, 2).modulus == (1, 0, 1)  # X^2 + 1: -1 is a non-square mod 3
 
 
-# the default moduli, as found by the full Rabin scan over every candidate
+# the default moduli, as found by a full scan of every candidate with Rabin's
+# irreducibility test, before the test became Ben-Or's and the scan skipped c_0 = 0
 DEFAULT_MODULI = {
     (3, 1): (0, 1),
     (3, 2): (1, 0, 1),
@@ -52,18 +55,25 @@ DEFAULT_MODULI = {
     (3, 7): (1, 0, 0, 0, 0, 1, 2, 1),
     (3, 8): (1, 0, 0, 0, 0, 1, 1, 0, 1),
     (3, 9): (1, 0, 0, 0, 0, 0, 2, 1, 0, 1),
+    (3, 10): (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1),
+    (3, 11): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 1),
+    (3, 12): (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1),
+    (3, 13): (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1),
     (5, 1): (0, 1),
     (5, 2): (1, 1, 1),
     (5, 3): (1, 0, 1, 1),
     (5, 4): (1, 0, 1, 1, 1),
     (5, 5): (1, 0, 0, 0, 4, 1),
+    (5, 6): (1, 0, 0, 0, 1, 1, 1),
     (7, 1): (0, 1),
     (7, 2): (1, 0, 1),
     (7, 3): (1, 0, 1, 1),
     (7, 4): (1, 0, 0, 1, 1),
+    (7, 5): (1, 0, 0, 0, 3, 1),
     (11, 1): (0, 1),
     (11, 2): (1, 0, 1),
     (11, 3): (1, 0, 4, 1),
+    (11, 4): (1, 0, 0, 4, 1),
     (13, 1): (0, 1),
     (13, 2): (1, 3, 1),
     (13, 3): (1, 0, 4, 1),
@@ -88,6 +98,26 @@ def test_bad_p_rejected(p):
         field_create(p, 1)
 
 
+def _mobius(n):
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+def _poly_mul(a, b, p):
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    return tuple(prod)
+
+
 def test_irreducibility_catches_2_plus_3_split():
     # degree 5 with no linear factor but a quadratic one: gcd with X^{p^d}-X for
     # proper divisors d alone would miss it
@@ -95,11 +125,43 @@ def test_irreducibility_catches_2_plus_3_split():
     quad = (1, 0, 1)  # X^2+1 irreducible
     cubic = (1, 2, 0, 1)  # X^3+2X+1: no root mod 3 -> irreducible
     assert all((x**3 + 2 * x + 1) % p for x in range(p))
-    prod = [0] * 6
-    for i, a in enumerate(quad):
-        for j, b in enumerate(cubic):
-            prod[i + j] = (prod[i + j] + a * b) % p
-    assert not is_irreducible(tuple(prod), p)
+    assert not is_irreducible(_poly_mul(quad, cubic, p), p)
+
+
+@pytest.mark.parametrize(
+    "p,m",
+    [(3, m) for m in range(1, 8)] + [(5, m) for m in range(1, 5)] + [(7, m) for m in range(1, 4)]
+    + [(11, 2), (13, 2)],
+)
+def test_irreducible_count_is_the_necklace_number(p, m):
+    # Gauss: there are (1/m) sum_{d | m} mu(d) p^{m/d} monic irreducibles of degree m
+    expected = sum(_mobius(d) * p ** (m // d) for d in range(1, m + 1) if m % d == 0) // m
+    found = sum(is_irreducible(low + (1,), p) for low in itertools.product(range(p), repeat=m))
+    assert found == expected
+
+
+@pytest.mark.parametrize("p,m", [(3, 4), (3, 5), (3, 6), (5, 4), (7, 3)])
+def test_irreducible_is_exactly_no_product_of_lower_degrees(p, m):
+    # every monic product g h with 1 <= deg g <= m / 2 is reducible, and nothing else is
+    monic = {d: [low + (1,) for low in itertools.product(range(p), repeat=d)] for d in range(1, m)}
+    reducible = {_poly_mul(g, h, p) for d in range(1, m // 2 + 1) for g in monic[d] for h in monic[m - d]}
+    for low in itertools.product(range(p), repeat=m):
+        cand = low + (1,)
+        assert is_irreducible(cand, p) == (cand not in reducible), cand
+
+
+def test_irreducibility_checks_factors_up_to_half_the_degree():
+    # the smallest factor of each product has degree exactly m // 2, the last k
+    # the test tries; each factor is a pinned default modulus, or a cubic with no root
+    p = 3
+    quad, quartic = DEFAULT_MODULI[3, 2], DEFAULT_MODULI[3, 4]
+    cubics = [(1, 0, 2, 1), (2, 2, 0, 1), (2, 1, 1, 1)]
+    for c in cubics:
+        assert all(sum(ci * x**i for i, ci in enumerate(c)) % p for x in range(p))
+    for f in (_poly_mul(quad, quad, p), _poly_mul(cubics[0], cubics[1], p), _poly_mul(cubics[2], quartic, p)):
+        assert not is_irreducible(f, p), f
+    for f in (quad, quartic, *cubics):
+        assert is_irreducible(f, p)
 
 
 def test_f9_basic_arithmetic():
@@ -321,6 +383,30 @@ def test_trace_of_products_does_not_wrap_above_p_127():
         xi, yi = rng.randrange(f.q), rng.randrange(f.q)
         assert table[xi, yi] == (f.from_index(xi) * f.from_index(yi)).trace()
     assert field_create(127, 1).trace_of_products().dtype == np.int8
+
+
+def test_power_table_in_row_blocks_equals_one_block(monkeypatch):
+    p, m = 5, 3
+    one_block = {e: field_create(p, m).power_table(e) for e in (0, 2, 6, 26, 124, 1000)}
+    monkeypatch.setattr(gf, "_BLOCK", 7)  # one row per block at 2m - 1 = 5
+    f = field_create(p, m)
+    for e, table in one_block.items():
+        assert f.power_table(e).dtype == np.int32
+        assert (f.power_table(e) == table).all(), e
+
+
+def test_power_table_memory_is_bounded_by_its_blocks():
+    # 3^10: 1.2 MB of int16 digit rows and a 0.24 MB int32 result; the whole-field
+    # square ladder would take about 33 MB
+    f = field_create(3, 10)
+    tracemalloc.start()
+    try:
+        table = f.power_table(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table[f.gen().index] == (f.gen() * f.gen()).index
+    assert peak < 4_000_000
 
 
 def test_power_table_refuses_negative_exponent():
