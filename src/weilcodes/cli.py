@@ -426,6 +426,10 @@ def cmd_predict(args) -> int:
 def cmd_verify(args) -> int:
     budget = resolve_budget(args)
     single = args.sweep is None
+    spec_flags = (args.p, args.m1, args.m2, args.u, args.lam, args.punctured or None, args.modulus1, args.modulus2)
+    if not single and any(v is not None for v in spec_flags):
+        raise _ArgumentError("--sweep names its own specs: give none of --p --m1 --m2 --u --lambda --punctured "
+                             "--modulus1 --modulus2")
     with _user_input():
         specs = [spec_from_args(args)] if single else parse_sweep(args.sweep)
     reports = []  # kept for JSON alone; text prints each spec's line as it goes
@@ -568,10 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.sweep is None:
-        missing = [k for k in ("p", "m1", "m2", "u", "lam") if getattr(args, k) is None]
-        if missing:
-            parser.error("verify needs --p --m1 --m2 --u --lambda (or --sweep)")
+    if args.command == "verify" and args.sweep is None and None in (args.p, args.m1, args.m2, args.u, args.lam):
+        parser.error("verify needs --p --m1 --m2 --u --lambda (or --sweep)")
     try:
         return args.func(args)
     except _ArgumentError as exc:

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf import CompositeP, FFElement, FieldMismatch, FiniteField, cached_field, histogram_split, is_odd_prime
+from .gf import CompositeP, FFElement, FieldMismatch, FiniteField, cached_field, histogram_split, is_odd_prime, mod_p
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -67,12 +67,6 @@ class CodeSpec:
     @property
     def K(self) -> int:
         return self.m1 + self.m2
-
-    @property
-    def s(self) -> int:
-        if self.m2 % 2:
-            raise ValueError("s = m2/2 is only defined for even m2")
-        return self.m2 // 2
 
     @property
     def field1(self) -> FiniteField:
@@ -258,25 +252,6 @@ def _grouped_histograms(ds: DefiningSet, budget: int | None):
     return spent, _group_rows(hist_a), _group_rows(hist_b)
 
 
-def _class_tally(ds: DefiningSet, budget: int | None = None):
-    """(counts, inv_a, inv_b): the tally on distinct histogram rows, and each message's row.
-
-    counts[i, j, r] is the number of coordinates equal to r in the codeword
-    of any (a, b) with inv_a[a] = i and inv_b[b] = j:
-
-        N[a, b, r] = sum_c sum_t A_c[a, t] B_c[b, r - t mod p],
-
-    every A row paired with every B row (`_grouped_histograms`,
-    `_pair_rows`).  It is exact in integers and holds for any disjoint
-    blocks.  Only the (q1, q2, p) table readers read it; the budget is
-    charged as in `complete_weight_enumerator`, with every A row paired.
-    """
-    p = ds.spec.p
-    spent, (uniq_a, inv_a), (uniq_b, inv_b) = _grouped_histograms(ds, budget)
-    paired = _pair_rows(uniq_a, uniq_b, p, len(ds), budget, spent + len(uniq_a) * len(uniq_b) * p)  # [j, r, i]
-    return np.ascontiguousarray(paired.transpose(2, 0, 1), dtype=np.int64), inv_a, inv_b
-
-
 def _pair_rows(rows: np.ndarray, other: np.ndarray, p: int, n: int, budget: int | None, spent: int) -> np.ndarray:
     """(len(other), p, len(rows)): [j, r, i] = sum_c sum_t rows[i, c p + t] other[j, c p + (r - t) mod p].
 
@@ -326,20 +301,62 @@ def _scaling_orbits(f: FiniteField, inv: np.ndarray, n_rows: int):
     return np.flatnonzero(is_rep), (np.cumsum(is_rep) - 1)[rep_row], lead[first].astype(np.int64)
 
 
+def _class_tally(ds: DefiningSet, budget: int | None = None):
+    """(counts, inv, scale, inv_other, b_scaled): the tally on histogram rows, labelled by scaling orbit.
+
+    The scaled side, B when b_scaled and else A, has the more distinct
+    histogram rows (`_grouped_histograms`); inv and inv_other give the row of
+    each element of it and of the other side.  counts[i, j, r] counts the
+    coordinates equal to r in the codeword of (x, scale[i] y), read as (a, b),
+    or (b, a) when b_scaled, for x in row i of the scaled side, y in row j.
+
+    N[a, b, r] = sum_c sum_t A_c[a, t] B_c[b, r - t mod p] is exact in
+    integers for any disjoint blocks.  By linearity N[d a, b, r] =
+    N[a, b / d, r / d] for d in F_p*, and b -> b / d permutes the distinct B
+    rows (it scales their t axis by d) and keeps each row's size.  So with
+    x = d_i u, u leading with 1 (`_scaling_orbits`), row (i, j) is
+    paired[j, r / d_i, rep_of[i]]: only the rows of elements leading with 1
+    are paired (`_pair_rows`; the same holds with A and B swapped), and one
+    blocked gather reads every row from them, orbit-row-major.
+
+    The budget charges the scan and the histograms, then, before any pair is
+    formed, the paired rows x kept bins x other rows x p multiply-adds plus
+    the rows x other rows x p entries gathered.
+    """
+    p = ds.spec.p
+    spent, side_a, side_b = _grouped_histograms(ds, budget)
+    b_scaled = len(side_b[0]) > len(side_a[0])
+    (rows, inv), (other, inv_other) = (side_b, side_a) if b_scaled else (side_a, side_b)
+    reps, rep_of, scale = _scaling_orbits(ds.spec.field2 if b_scaled else ds.spec.field1, inv, len(rows))
+    paired = _pair_rows(rows[reps], other, p, len(ds), budget, spent + len(rows) * len(other) * p)  # [j, r, rep]
+    inverse = np.array([0] + [pow(c, -1, p) for c in range(1, p)], dtype=np.int64)
+    offsets = (inverse[scale][:, None] * np.arange(p) % p) * len(reps) + rep_of[:, None]  # [i, r]
+    other_at = np.arange(len(other))[:, None] * (p * len(reps))  # [j, 1]
+    flat = paired.ravel()  # in the product's narrow type; each block widens as it is stored
+    counts = np.empty((len(rows), len(other), p), dtype=np.int64)
+    step = max(1, _PAIR_BLOCK // (len(other) * p))
+    for lo in range(0, len(rows), step):
+        counts[lo:lo + step] = flat[offsets[lo:lo + step, None] + other_at]
+    return counts, inv, scale, inv_other, b_scaled
+
+
 def symbol_count_table(ds: DefiningSet, budget: int | None = DEFAULT_BUDGET) -> np.ndarray:
     """(q1, q2, p) tally: entry [a, b, r] counts coordinates of codeword (a, b) equal to r.
 
-    The tally is `_class_tally`, expanded to every message pair; the budget
-    charges the q1 q2 p entries of the table before the tally's own cost.
+    It reads `_class_tally` at every message pair: with x in row i of the
+    scaled side and y on the other, (x, y) is row (i, row of y / scale[i]),
+    taken as (b, a) when B is the scaled side; the rows of y / d are mapped
+    one d at a time.  The budget charges the q1 q2 p entries of the table, a
+    lower bound, before the tally's own charge, which is the measurement's.
     """
     spec = ds.spec
-    check_budget(spec.field1.q * spec.field2.q * spec.p, budget, at_least=True)
-    return _expand(*_class_tally(ds, budget))
-
-
-def _expand(counts: np.ndarray, inv_a: np.ndarray, inv_b: np.ndarray) -> np.ndarray:
-    """The (q1, q2, p) table of a class tally: entry [a, b] is counts[inv_a[a], inv_b[b]]."""
-    return counts[inv_a[:, None], inv_b[None, :]]
+    p = spec.p
+    check_budget(spec.field1.q * spec.field2.q * p, budget, at_least=True)
+    counts, inv, scale, inv_other, b_scaled = _class_tally(ds, budget)
+    f = spec.field1 if b_scaled else spec.field2  # the other side's field
+    rows_of_y = np.stack([inv_other[f.indices_of(mod_p(f.digits() * np.int64(pow(d, -1, p)), p))]
+                          for d in range(1, p)])[scale[inv] - 1]  # [x, y]: the row of y / scale of x's row
+    return counts[inv[None, :], rows_of_y.T] if b_scaled else counts[inv[:, None], rows_of_y]
 
 
 @dataclass
@@ -350,8 +367,9 @@ class EnumerationResult:
     compositions in lexicographic order ((rows, p) int64), and `freq`, the
     number of codewords of each (int64).  `cwe` is the same enumerator as a
     dict, composition tuple -> int in that order, built the first time it is
-    read.  `table` is the (q1, q2, p) tally of `symbol_count_table`, paired
-    from the defining set `ds` the first time it is read.
+    read.  `table` is the (q1, q2, p) tally of `symbol_count_table`, read from
+    the CWE's orbit tally of the defining set `ds` the first time it is read,
+    without a budget: the measurement was charged for it.
     """
 
     length: int
@@ -367,7 +385,7 @@ class EnumerationResult:
 
     @cached_property
     def table(self) -> np.ndarray:
-        return _expand(*_class_tally(self.ds))
+        return symbol_count_table(self.ds, budget=None)
 
     @property
     def min_distance(self) -> int:
@@ -379,51 +397,23 @@ def complete_weight_enumerator(
 ) -> EnumerationResult:
     """Tally the composition vector of every codeword; project to the weight enumerator.
 
-    By linearity the codeword of (d a, b) is d times that of (a, b / d), so
-    N[d a, b, r] = N[a, b / d, r / d] for d in F_p*.  The histogram row of
-    b / d is that of b with its t axis scaled by d, so b -> b / d permutes
-    the distinct B rows and keeps each row's size.  A CWE is a multiset, so
-    the compositions of row i of A against the B rows are those of its
-    scaling-orbit row against the same rows, read at r / d_i: with a = d_i u
-    and u leading with 1 (`_scaling_orbits`), row (i, j') is
-    paired[j', r / d_i, rep_of[i]] for |A row i| |B row j'| messages.  So
-    only the rows of elements leading with 1 are paired (`_pair_rows`), on
-    the side with more distinct rows (the same holds with A and B swapped),
-    and one blocked gather reads every row from them, orbit-row-major.
-    Equal rows are sorted into runs (`_sorted_groups`) and each run's
-    weights summed in int64, giving the result's `comps` (lexicographic
-    order) and `freq`; the WE and the dimension come from their zero-symbol
-    column, summed per run of equal zeros first (`we_and_dimension`), and
-    the `cwe` dict is left until it is read.
-
-    The budget charges the real cost: the scan and the histograms
-    (`_grouped_histograms`), then, checked before any pair is formed, the
-    paired rows x kept bins x other rows x p multiply-adds plus the
-    rows x other rows x p entries gathered.
+    Row (i, j) of the labelled orbit tally (`_class_tally`, whose budget this
+    is) holds |scaled-side row i| |other row j| codewords.  Equal rows are
+    sorted into runs (`_sorted_groups`) and each run's weights summed in
+    int64: `comps` (lexicographic order) and `freq`.  The WE and the dimension
+    come from their zero-symbol column, summed per run of equal zeros first
+    (`we_and_dimension`); the `cwe` dict is left until it is read.
     """
     spec = ds.spec
     p = spec.p
     n = len(ds)
-    spent, side_a, side_b = _grouped_histograms(ds, budget)
-    sides = [(*side_a, spec.field1), (*side_b, spec.field2)]  # scale the side with more distinct rows
-    (rows, inv, f), (other, inv_o, _) = sides[::-1] if len(side_b[0]) > len(side_a[0]) else sides
-    reps, rep_of, scale = _scaling_orbits(f, inv, len(rows))
-    paired = _pair_rows(rows[reps], other, p, n, budget, spent + len(rows) * len(other) * p)  # [j, r, rep]
-    inverse = np.array([0] + [pow(c, -1, p) for c in range(1, p)], dtype=np.int64)
-    offsets = (inverse[scale][:, None] * np.arange(p) % p) * len(reps) + rep_of[:, None]  # [i, r]
-    other_at = np.arange(len(other))[:, None] * (p * len(reps))  # [j, 1]
-    flat = paired.ravel()  # in the product's narrow type; each block widens as it is stored
-    counts = np.empty((len(rows), len(other), p), dtype=np.int64)
-    step = max(1, _PAIR_BLOCK // (len(other) * p))
-    for lo in range(0, len(rows), step):
-        counts[lo:lo + step] = flat[offsets[lo:lo + step, None] + other_at]
-    del paired, flat  # the narrow product is not needed for the sort
+    counts, inv, _, inv_other, _ = _class_tally(ds, budget)
     all_rows = counts.reshape(-1, p)
     order, cut = _sorted_groups(all_rows)
     starts = np.flatnonzero(cut)
     comps = all_rows[order[starts]]
-    weight = np.outer(np.bincount(inv, minlength=len(rows)), np.bincount(inv_o, minlength=len(other))).ravel()
-    freq = np.add.reduceat(weight[order], starts)
+    sizes = np.bincount(inv, minlength=len(counts)), np.bincount(inv_other, minlength=counts.shape[1])
+    freq = np.add.reduceat(np.outer(*sizes).ravel()[order], starts)
     # column 0 is non-decreasing in lexicographic order: one entry per run of equal zeros
     zeros = comps[:, 0]
     runs = np.flatnonzero(_run_starts(zeros))

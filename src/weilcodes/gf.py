@@ -692,14 +692,6 @@ class FFElement:
         return f"FFElement({self.field!r}, {self.coeffs})"
 
 
-def trace(x: FFElement) -> int:
-    return x.trace()
-
-
-def eta(x: FFElement) -> int:
-    return x.eta()
-
-
 # ---------------------------------------------------------------------------
 # F_p-linear operators (linearized polynomials as matrices)
 # ---------------------------------------------------------------------------

@@ -93,10 +93,12 @@ def test_argument_errors_exit_2(capsys):
         ["griesmer", "--p", "3", "--n", "-5", "--k", "2", "--d", "1"],
         ["verify", "--p", "3", "--m1", "2", "--m2", "2", "--u", "1", "--lambda", "0", "--modulus1", ""],
         ["enumerate", "--p", "3", "--m1", "2", "--m2", "2", "--u", "1", "--lambda", "0", "--modulus2", ""],
+        ["verify", "--sweep", "p=3;m1=1;m2=1;u=1", "--p", "5"],
+        ["verify", "--sweep", "p=3;m1=1;m2=1;u=1", "--modulus1", "1,0,2"],
     ],
     ids=["p-composite", "m1-zero", "modulus-not-monic", "sweep-unknown-key", "sweep-empty",
          "sweep-selects-none", "griesmer-k-zero", "griesmer-p-zero", "griesmer-p-one", "griesmer-n-negative",
-         "modulus1-empty", "modulus2-empty"],
+         "modulus1-empty", "modulus2-empty", "sweep-with-p", "sweep-with-modulus1"],
 )
 def test_bad_values_exit_2_with_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)

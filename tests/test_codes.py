@@ -400,9 +400,14 @@ def _reference_tally(ds):
 
 
 def _assert_tally_is_the_reference(ds):
-    got, want = _class_tally(ds), _reference_tally(ds)
-    assert got[0].dtype == np.int64 and got[0].flags.c_contiguous, ds.spec
-    for g, w in zip(got, want):
+    # the labelled orbit tally, read at every message pair, against the all-rows tensordot read
+    # the same way: codeword by codeword, not only as a multiset
+    counts, inv_a, inv_b = _reference_tally(ds)
+    table = symbol_count_table(ds)
+    assert table.dtype == np.int64 and table.flags.c_contiguous, ds.spec
+    assert np.array_equal(table, counts[inv_a[:, None], inv_b[None, :]]), ds.spec
+    _, inv, _, inv_other, b_scaled = _class_tally(ds)
+    for g, w in zip((inv_other, inv) if b_scaled else (inv, inv_other), (inv_a, inv_b)):
         assert np.array_equal(g, w), ds.spec
 
 
@@ -478,6 +483,8 @@ def test_cwe_at_p_131_counts_every_codeword():
     res = complete_weight_enumerator(ds)
     assert res.comps.tolist() == sorted(map(list, want))
     assert res.freq.tolist() == [want[tuple(c)] for c in res.comps.tolist()]
+    # the table reads the same orbit tally, codeword by codeword
+    assert np.array_equal(res.table, comps.reshape(131, 131, 131))
     # and one codeword through `encode`
     word = encode(ds, f1.from_index(5), f2.from_index(7))
     assert np.bincount(word, minlength=131).tolist() == comps[5 * 131 + 7].tolist()
@@ -596,12 +603,12 @@ _PUNCTURED_P7_P13 = [CodeSpec(7, 2, 2, 1, 0, True), CodeSpec(7, 2, 2, 1, 3, True
 def test_measured_cwe_equals_a_plain_sum_over_the_class_tally(specs):
     for spec in specs:
         res = enumeration_of(spec)
-        counts, inv_a, inv_b = _class_tally(defining_set_of(spec))
-        n_a, n_b = Counter(inv_a.tolist()), Counter(inv_b.tolist())
+        counts, inv, _, inv_other, _ = _class_tally(defining_set_of(spec))
+        n_row, n_other = Counter(inv.tolist()), Counter(inv_other.tolist())
         cwe, we = Counter(), Counter()
         for (i, row), j in product(enumerate(counts.tolist()), range(counts.shape[1])):
-            cwe[tuple(row[j])] += n_a[i] * n_b[j]
-            we[res.length - row[j][0]] += n_a[i] * n_b[j]
+            cwe[tuple(row[j])] += n_row[i] * n_other[j]
+            we[res.length - row[j][0]] += n_row[i] * n_other[j]
         dim = spec.K
         while spec.p ** (spec.K - dim) < we[0]:
             dim -= 1
