@@ -227,13 +227,6 @@ def gauss_sum_closed(p: int, m: int) -> CycInt:
     return coef * g1(p)
 
 
-def _eta_scalar_ext(field: FiniteField, x: int) -> int:
-    # quadratic character of a prime-field value seen inside F_{p^m}
-    if x % field.p == 0:
-        return 0
-    return 1 if field.m % 2 == 0 else eta1(field.p, x)
-
-
 def _weil_dispatch(field: FiniteField, u: int, a: FFElement):
     """Per-(u, a) data for the closed Weil sum, kept with the field: solver and scale.
 
@@ -266,10 +259,9 @@ def weil_sum_closed(field: FiniteField, u: int, a: FFElement, b: FFElement) -> C
     if a.is_zero():
         raise ZeroA("a must be nonzero")
     op, scale = _weil_dispatch(field, u, a)
-    sol = solve_linear(op, -(b.frobenius_iterate(u)))
-    if sol.kind == "none":
+    x0 = solve_linear(op, -(b.frobenius_iterate(u)))
+    if x0 is None:
         return CycInt.zero(field.p)
-    x0 = sol.particular
     e = (-(a * x0.frobenius_iterate(u) * x0)).trace()  # Tr(-a x0^{p^u+1})
     return scale * CycInt.zeta(field.p, e)
 
@@ -298,10 +290,11 @@ def gamma_table(field: FiniteField, u: int) -> np.ndarray:
     """Index of gamma_b for every b index, -1 where X^{p^{2u}} + X = -b^{p^u} is unsolvable.
 
     The right-hand side is F_p-linear in b, so one elimination serves every b:
-    gamma_b is solve_linear's particular solution, applied to all the digit
-    rows of -b^{p^u} at once.  The table is kept with the field; a call that
-    finds it there returns it before anything else is set up, since
-    `gamma_of` calls this once per b.
+    gamma_b is the designated solution (free coordinates zero) that
+    `LinOperator.solve_rows` finds for all the digit rows of -b^{p^u} at
+    once.  The table is kept with the field; a call that finds it there
+    returns it before anything else is set up, since `gamma_of` calls this
+    once per b.
     """
     table = field.cached(("gamma", u))
     if table is not None:
@@ -331,25 +324,3 @@ def gamma_trace_table(field: FiniteField, u: int) -> np.ndarray:
 
     return field.cached(("gamma_trace", u), build)
 
-
-def weil_sum_scalar_closed(field: FiniteField, u: int, z1: int, z2: int, b: FFElement) -> CycInt:
-    """S_{m,u}(z1, z2 b) for prime-field units z1, z2: the restricted fast path.
-
-    m/v odd:        G_m eta_m(z1) zeta^{-(z2^2/z1) Tr(gamma_b^{p^u+1})}
-    m/v = 2 mod 4:  -p^s zeta^{same}
-    m/v = 0 mod 4:  -p^{s+v} zeta^{same} when solvable, else 0
-    """
-    p, m = field.p, field.m
-    z1 %= p
-    z2 %= p
-    if z1 == 0:
-        raise ZeroA("z1 must be a unit")
-    v = math.gcd(m, u)
-    t2 = gamma_trace_table(field, u).item(b.index) if z2 else 0  # Tr(gamma_b^{p^u+1})
-    if t2 < 0:  # gamma_b is missing, only when m/v = 0 mod 4
-        return CycInt.zero(p)
-    zeta = CycInt.zeta(p, -z2 * z2 * pow(z1, p - 2, p) * t2)
-    if (m // v) % 2 == 1:
-        return gauss_sum_closed(p, m) * _eta_scalar_ext(field, z1) * zeta
-    s = m // 2
-    return zeta * -(p ** (s if (m // v) % 4 == 2 else s + v))

@@ -92,7 +92,7 @@ def _parse_modulus(text, flag):
 
 
 def spec_from_args(args) -> CodeSpec:
-    """The spec named on the command line, with both fields built, so a bad modulus fails here."""
+    """The spec named on the command line; a field given its modulus is built here, so a bad one fails here."""
     spec = CodeSpec(
         args.p,
         args.m1,
@@ -103,7 +103,11 @@ def spec_from_args(args) -> CodeSpec:
         mod1=_parse_modulus(args.modulus1, "modulus1"),
         mod2=_parse_modulus(args.modulus2, "modulus2"),
     )
-    spec.field1, spec.field2  # building each field checks its modulus
+    # a default modulus cannot fail, so that field waits for its first use (predict makes none)
+    if spec.mod1 is not None:
+        spec.field1
+    if spec.mod2 is not None:
+        spec.field2
     return spec
 
 
@@ -156,17 +160,18 @@ def resolve_budget(args) -> int | None:
     return DEFAULT_BUDGET
 
 
-def _parse_values(text, kind=int):
+def _parse_values(key, text):
+    """The integers of the sweep clause key=text: comma-separated integers and lo-hi ranges."""
     out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if "-" in piece and not piece.startswith("-"):
-            lo, hi = map(int, piece.split("-"))
-            if lo > hi:
-                raise ValueError(f"range {piece!r} is reversed")
-            out.extend(range(lo, hi + 1))
-        else:
-            out.append(kind(piece))
+    for piece in map(str.strip, text.split(",")):
+        ends = piece.split("-") if "-" in piece and not piece.startswith("-") else [piece, piece]
+        try:
+            lo, hi = map(int, ends)
+        except ValueError:
+            raise ValueError(f"sweep {key}: {piece!r} is neither an integer nor a lo-hi range") from None
+        if lo > hi:
+            raise ValueError(f"range {piece!r} is reversed")
+        out.extend(range(lo, hi + 1))
     return out
 
 
@@ -192,15 +197,18 @@ def parse_sweep(text: str) -> list[CodeSpec]:
         key, _, value = clause.partition("=")
         key, value = key.strip(), value.strip()
         if key in ("p", "m1", "m2", "u"):
-            opts[key] = _parse_values(value)
+            opts[key] = _parse_values(key, value)
         elif key == "lambda":
-            opts[key] = "all" if value == "all" else _parse_values(value)
+            opts[key] = "all" if value == "all" else _parse_values(key, value)
         elif key == "punctured":
             if value not in ("full", "punctured", "both"):
                 raise ValueError(f"punctured must be full|punctured|both, got {value!r}")
             opts[key] = value
         elif key == "maxq":
-            opts[key] = int(value)
+            try:
+                opts[key] = int(value)
+            except ValueError:
+                raise ValueError(f"sweep maxq: {value!r} is not an integer") from None
         else:
             raise ValueError(f"unknown sweep key {key!r}")
     punct_flags = {"full": [False], "punctured": [True], "both": [False, True]}[opts["punctured"]]

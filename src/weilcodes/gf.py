@@ -713,22 +713,24 @@ class LinOperator:
         return FFElement(self.field, out)
 
     @cached_property
-    def _reduced(self):
-        """(reduced rows, pivot columns, row transform) of the matrix, from _eliminate."""
-        return _eliminate(self.matrix, self.field.p)
+    def _reduced(self) -> tuple[list[int], np.ndarray]:
+        """(pivot columns, row transform as an int64 array) of the matrix, from _eliminate."""
+        pivots, transform = _eliminate(self.matrix, self.field.p)
+        return pivots, np.array(transform, dtype=np.int64)
 
     def kernel_dim(self) -> int:
-        return self.field.m - len(self._reduced[1])
+        return self.field.m - len(self._reduced[0])
 
     def solve_rows(self, rhs) -> tuple[np.ndarray, np.ndarray]:
-        """Designated particular solutions of op(X) = r for every digit row r of rhs at once.
+        """Designated solutions of op(X) = r for every digit row r of rhs at once.
 
-        Returns a boolean per row (solvable or not) and the (N, m) digit rows of
-        the solution whose free coordinates are zero (zero where unsolvable).
+        The designated solution is the one whose free (non-pivot) coordinates
+        are zero.  Returns a boolean per row (solvable or not) and the (N, m)
+        digit rows of those solutions (zero where unsolvable).
         """
-        _, pivots, transform = self._reduced
+        pivots, transform = self._reduced
         rank = len(pivots)
-        y = np.asarray(rhs, dtype=np.int64) @ np.array(transform, dtype=np.int64).T % self.field.p
+        y = np.asarray(rhs, dtype=np.int64) @ transform.T % self.field.p
         out = np.zeros_like(y)
         out[:, pivots] = y[:, :rank]
         return ~y[:, rank:].any(axis=1), out
@@ -744,45 +746,11 @@ def linearized_operator(field: FiniteField, a: FFElement, u: int) -> LinOperator
     return LinOperator(field, tuple(map(tuple, mod_p(rows, field.p).T.tolist())))
 
 
-@dataclass
-class SolutionSet:
-    """Solutions of op(X) = rhs: none, a unique point, or an affine subspace."""
-
-    kind: str  # "none" | "unique" | "affine"
-    particular: FFElement | None
-    basis: list[FFElement]
-
-    @property
-    def size(self) -> int:
-        if self.kind == "none":
-            return 0
-        return self.particular.field.p ** len(self.basis)
-
-    def solutions(self):
-        if self.kind == "none":
-            return
-        f = self.particular.field
-        p = f.p
-        dim = len(self.basis)
-        for counter in range(p**dim):
-            x = self.particular
-            c = counter
-            for b in self.basis:
-                c, r = divmod(c, p)
-                if r:
-                    x = x + f.scalar(r) * b
-            yield x
-
-    def __contains__(self, x: FFElement) -> bool:
-        return any(x == s for s in self.solutions())
-
-
 def _eliminate(rows, p):
     """Gauss-Jordan elimination over F_p of the n x k matrix given by its rows.
 
-    Returns (reduced, pivots, transform): the reduced row echelon form, its
-    pivot columns, and the invertible n x n row transform E with
-    E * rows = reduced (mod p).
+    Returns (pivots, transform): the pivot columns of the reduced row echelon
+    form R, and the invertible n x n row transform E with E * rows = R (mod p).
     """
     n = len(rows)
     k = len(rows[0]) if rows else 0
@@ -801,29 +769,12 @@ def _eliminate(rows, p):
                 fac = aug[r][c]
                 aug[r] = [(v - fac * w) % p for v, w in zip(aug[r], aug[rank])]
         pivots.append(c)
-    return [row[:k] for row in aug], pivots, [row[k:] for row in aug]
+    return pivots, [row[k:] for row in aug]
 
 
-def solve_linear(op: LinOperator, rhs: FFElement) -> SolutionSet:
-    """All solutions of op(X) = rhs by Gaussian elimination over F_p."""
-    f = op.field
-    if rhs.field != f:
+def solve_linear(op: LinOperator, rhs: FFElement) -> FFElement | None:
+    """The designated solution of op(X) = rhs, free coordinates zero; None when unsolvable."""
+    if rhs.field != op.field:
         raise FieldMismatch("rhs from a different field")
-    p, m = f.p, f.m
-    reduced, pivots, transform = op._reduced
-    y = [sum(t * c for t, c in zip(row, rhs.coeffs)) % p for row in transform]
-    if any(y[len(pivots) :]):
-        return SolutionSet("none", None, [])
-    part = [0] * m
-    for r, c in enumerate(pivots):
-        part[c] = y[r]
-    basis = []
-    for fc in (c for c in range(m) if c not in pivots):
-        vec = [0] * m
-        vec[fc] = 1
-        for r, c in enumerate(pivots):
-            vec[c] = (-reduced[r][fc]) % p
-        basis.append(f.element(tuple(vec)))
-    particular = f.element(tuple(part))
-    kind = "unique" if not basis else "affine"
-    return SolutionSet(kind, particular, basis)
+    solvable, x = op.solve_rows([rhs.coeffs])
+    return FFElement(op.field, tuple(x[0].tolist())) if solvable[0] else None

@@ -21,7 +21,7 @@ import numpy as np
 
 from .charsum import GaussScale, eta1, gamma_trace_table
 from .codes import CodeSpec, min_weight, we_and_dimension
-from .gf import FFElement, mod_p
+from .gf import mod_p
 
 
 class WrongRegime(Exception):
@@ -126,28 +126,12 @@ def _orbit_size(spec: CodeSpec) -> int:
 # per-codeword symbol counts (the twelve case families)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TAB:
-    """T(a, b) = Tr(a^2/4) + Tr(gamma_b^{p^u+1}), defined when gamma_b exists."""
-
-    solvable: bool
-    value: int | None
-
-
 def predicted_keys(spec: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
     """(Tr(a^2/4) per a index, Tr(gamma_b^{p^u+1}) per b index or -1 where gamma_b is missing), kept with the fields."""
     f1, p = spec.field1, spec.p
     ta = f1.cached("quarter_square_trace",
                    lambda: mod_p(pow(4, p - 2, p) * f1.trace_table()[f1.power_table(2)].astype(np.int64), p))
     return ta, gamma_trace_table(spec.field2, spec.u)
-
-
-def tab(spec: CodeSpec, a: FFElement, b: FFElement) -> TAB:
-    ta, tb = predicted_keys(spec)
-    t2 = tb.item(b.index)
-    if t2 < 0:
-        return TAB(False, None)
-    return TAB(True, (ta.item(a.index) + t2) % spec.p)
 
 
 def _composition(spec: CodeSpec, solvable: bool, t: int | None) -> tuple[int, ...]:
@@ -191,14 +175,6 @@ def _composition(spec: CodeSpec, solvable: bool, t: int | None) -> tuple[int, ..
         return tuple(base - s * (p - 1) * p**E if (rho * rho - 4 * lam * t) % p == 0 else base + s * p**E
                      for rho in range(p))
     return tuple(base + eta1(p, rho * rho - 4 * lam * t) * W * p**E for rho in range(p))
-
-
-def predict_symbol_counts(spec: CodeSpec, a: FFElement, b: FFElement) -> tuple[int, ...]:
-    """Predicted composition vector of the codeword of a nonzero pair (a, b)."""
-    if a.is_zero() and b.is_zero():
-        raise ValueError("(a, b) = (0, 0) is the zero codeword, not covered by the formulas")
-    info = tab(spec, a, b)
-    return _composition(spec, info.solvable, info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +306,9 @@ def predict_cwe(spec: CodeSpec) -> PredictedEnumerator:
 def predicted_table(spec: CodeSpec) -> np.ndarray:
     """(q1, q2, p) array of predicted compositions for every message pair.
 
-    Vectorized counterpart of predict_symbol_counts for the full code; the
-    (0, 0) entry holds the zero codeword's composition.
+    Entry [a, b] of the full code is `_composition` of whether gamma_b exists
+    and of T(a, b) = Tr(a^2/4) + Tr(gamma_b^{p^u+1}), read from `predicted_keys`;
+    the (0, 0) entry holds the zero codeword's composition.
     """
     full = spec.full()
     p = spec.p

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from weilcodes import cli, codes
+from weilcodes import cli, codes, gf
 from weilcodes.cli import fmt_we, json_text, main, parse_sweep
 
 
@@ -95,10 +95,11 @@ def test_argument_errors_exit_2(capsys):
         ["enumerate", "--p", "3", "--m1", "2", "--m2", "2", "--u", "1", "--lambda", "0", "--modulus2", ""],
         ["verify", "--sweep", "p=3;m1=1;m2=1;u=1", "--p", "5"],
         ["verify", "--sweep", "p=3;m1=1;m2=1;u=1", "--modulus1", "1,0,2"],
+        ["predict", "--p", "3", "--m1", "2", "--m2", "2", "--u", "1", "--lambda", "0", "--modulus2", "2,0,1"],
     ],
     ids=["p-composite", "m1-zero", "modulus-not-monic", "sweep-unknown-key", "sweep-empty",
          "sweep-selects-none", "griesmer-k-zero", "griesmer-p-zero", "griesmer-p-one", "griesmer-n-negative",
-         "modulus1-empty", "modulus2-empty", "sweep-with-p", "sweep-with-modulus1"],
+         "modulus1-empty", "modulus2-empty", "sweep-with-p", "sweep-with-modulus1", "predict-reducible-modulus2"],
 )
 def test_bad_values_exit_2_with_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -429,6 +430,29 @@ def test_reversed_sweep_range_exits_2(capsys):
     assert err == "error: range '3-2' is reversed\n"
     with pytest.raises(ValueError, match="reversed"):
         parse_sweep("p=3;m1=1;m2=1;u=2-1")
+
+
+@pytest.mark.parametrize(
+    "sweep, piece",
+    [("p=3;lambda=1-2-3", "'1-2-3'"), ("p=", "''"), ("p=3;m1=1,x;m2=1;u=1", "'x'"), ("maxq=9e3", "'9e3'")],
+)
+def test_bad_sweep_value_is_quoted(capsys, sweep, piece):
+    code, out, err = run(capsys, "verify", "--sweep", sweep)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: sweep ") and err.count("\n") == 1
+    assert piece in err
+
+
+def test_predict_without_a_modulus_builds_no_field(capsys, monkeypatch):
+    # predict reads no field; the default modulus search alone took 1.6 s at m1 = 80
+
+    def no_field(self, *args, **kwargs):
+        raise AssertionError("predict built a field")
+
+    monkeypatch.setattr(gf.FiniteField, "__init__", no_field)
+    code, out, _ = run(capsys, "predict", "--p", "3", "--m1", "80", "--m2", "2", "--u", "1", "--lambda", "1")
+    assert code == 0
+    assert out.startswith("p=3 m1=80 m2=2 u=1 lambda=1 full\ntheorem 9: [")
 
 
 def test_sweep_verifies_a_repeated_spec_once(capsys):

@@ -1,8 +1,10 @@
 """Defining sets, encoding, and exhaustive enumeration against frozen oracles."""
 
+import ast
 from collections import Counter
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -698,3 +700,35 @@ def test_dump_grammar():
         a_part, b_part, c_part = line.split(" ")
         assert a_part.startswith("a=") and b_part.startswith("b=") and c_part.startswith("c=")
         assert len(c_part) - 2 == len(ds)
+
+
+def _names_in(node) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def test_measurement_route_reads_no_closed_form():
+    # the two routes stay independent: codes imports only gf, and the exhaustive
+    # sums, with every charsum function they call, name no closed form or solver
+    package = Path(codes.__file__).parent
+    for node in ast.walk(ast.parse((package / "codes.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert node.module == "gf", ast.unparse(node)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            mods = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+            assert not any(m.split(".")[0] == "weilcodes" for m in mods), ast.unparse(node)
+    tree = ast.parse((package / "charsum.py").read_text())
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    todo = [name for name in defs if name.endswith("_bruteforce")] + ["orthogonality_sum"]
+    seen = set()
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(_names_in(defs[name]) & defs.keys())
+    assert {"_exhaustive_sum", "gauss_sum_bruteforce", "quad_sum_bruteforce", "weil_sum_bruteforce"} <= seen
+    solver = {"_weil_dispatch", "solve_linear", "linearized_operator"}
+    for name in seen:
+        bad = {n for n in _names_in(defs[name]) if n.endswith("_closed") or n.startswith("gamma_") or n in solver}
+        assert not bad, (name, bad)

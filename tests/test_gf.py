@@ -245,10 +245,10 @@ def test_solve_linear_unique_and_zero():
     f9 = field_create(3, 2)
     op = linearized_operator(f9, f9.one(), 1)  # 2*Id
     alpha = f9.gen()
-    sol = solve_linear(op, alpha)
-    assert sol.kind == "unique"
-    assert sol.particular == f9.scalar(2) * alpha
-    assert f9.zero() in solve_linear(op, f9.zero())
+    x0 = solve_linear(op, alpha)
+    assert op.apply(x0) == alpha
+    assert x0 == f9.scalar(2) * alpha
+    assert solve_linear(op, f9.zero()) == f9.zero()
 
 
 def test_solve_linear_singular_counts():
@@ -256,14 +256,20 @@ def test_solve_linear_singular_counts():
     # of the 81 right-hand sides -b^{p^u} are solvable
     f = field_create(3, 4)
     op = linearized_operator(f, f.one(), 1)
+    images = [op.apply(x) for x in f.elements()]
     solvable = 0
     for b in f.elements():
         rhs = -(b.frobenius_iterate(1))
-        sol = solve_linear(op, rhs)
-        if sol.kind != "none":
+        x0 = solve_linear(op, rhs)
+        if x0 is not None:
             solvable += 1
-            assert sol.size == 3**2
+            assert op.apply(x0) == rhs
+            assert images.count(rhs) == 3 ** op.kernel_dim() == 3**2
+        else:
+            assert rhs not in images
     assert solvable == 9
+    # the designated solution (free coordinates zero) of op(X) = 0 is 0, not a kernel element
+    assert solve_linear(op, f.zero()) == f.zero()
 
 
 @pytest.mark.parametrize("p,m,u", [(3, 2, 1), (3, 3, 1), (3, 4, 2), (5, 2, 1)])
@@ -272,10 +278,15 @@ def test_solve_linear_roundtrip_and_kernel_size(p, m, u):
     elems = list(f.elements())
     for a in elems[1 :: max(1, len(elems) // 7)]:
         op = linearized_operator(f, a, u)
-        for x in elems[:: max(1, len(elems) // 7)]:
-            sol = solve_linear(op, op.apply(x))
-            assert x in sol
-            assert sol.size == p ** op.kernel_dim()
+        images = [op.apply(y) for y in elems]
+        xs = elems[:: max(1, len(elems) // 7)]
+        for x in xs:
+            rhs = op.apply(x)
+            x0 = solve_linear(op, rhs)
+            assert op.apply(x0) == rhs  # x lies in x0 + ker
+            assert images.count(rhs) == p ** op.kernel_dim()
+            for y in xs:  # designated solutions are linear in the rhs
+                assert solve_linear(op, rhs + op.apply(y)) == x0 + solve_linear(op, op.apply(y))
 
 
 def test_permutation_criterion():
