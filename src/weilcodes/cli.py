@@ -88,7 +88,10 @@ def _parse_modulus(text, flag):
         return None
     if not text.strip():
         raise ValueError(f"--{flag} is empty: give the coefficients, low degree first")
-    return tuple(int(c) for c in text.split(","))
+    try:
+        return tuple(int(c) for c in text.split(","))
+    except ValueError:
+        raise ValueError(f"--{flag}: {text!r} is not a comma-separated list of integers") from None
 
 
 def spec_from_args(args) -> CodeSpec:
@@ -233,9 +236,10 @@ def _scan(spec: CodeSpec, budget) -> DefiningSet:
 
     Every charge that follows (the enumeration's, the points listed by
     `construct`, the codewords of `--dump`) starts from those q1 + q2, so
-    this refuses only jobs that a later check refuses too.
+    this refuses only jobs that a later check refuses too.  They are charged
+    as p^m1 + p^m2, before any field is built.
     """
-    check_budget(spec.field1.q + spec.field2.q, budget, at_least=True)
+    check_budget(spec.p**spec.m1 + spec.p**spec.m2, budget, at_least=True)
     return build_defining_set(spec)
 
 

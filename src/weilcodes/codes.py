@@ -217,7 +217,7 @@ def check_budget(required: int, budget: int | None, at_least: bool = False) -> N
         raise BudgetExceeded(required, budget, at_least)
 
 
-# a block of the pair stage holds at most this many entries (1 MB at int64) of shifted rows or gather indices
+# a block of the pair loop holds at most this many entries (1 MB at float64) of shifted rows, products or counts written
 _PAIR_BLOCK = 1 << 17
 
 
@@ -252,37 +252,6 @@ def _grouped_histograms(ds: DefiningSet, budget: int | None):
     return spent, _group_rows(hist_a), _group_rows(hist_b)
 
 
-def _pair_rows(rows: np.ndarray, other: np.ndarray, p: int, n: int, budget: int | None, spent: int) -> np.ndarray:
-    """(len(other), p, len(rows)): [j, r, i] = sum_c sum_t rows[i, c p + t] other[j, c p + (r - t) mod p].
-
-    The sum runs over the kept bins alone, the (class, t) bins c p + t that
-    are nonzero in some row of rows, so a thin class side (fewer than p
-    members, most bins empty) costs its members, not p.  The budget is
-    checked once, before any pair is formed: spent, the caller's share, plus
-    len(rows) x kept bins x len(other) x p multiply-adds.  It is one integer
-    matrix product per block of other rows: the block's rows shifted by
-    every t, (block, p, kept), times the kept columns of rows, transposed.
-    That order reads the large operand once, row by row, and a block holds
-    at most `_PAIR_BLOCK` shifted entries.  Every term and partial sum is
-    non-negative and at most the total, a count of at most n coordinates, so
-    the product runs exactly in the narrowest integer type that holds n:
-    numpy has no BLAS path for integers, and narrower entries move fewer
-    bytes.
-    """
-    bins = np.flatnonzero(rows.sum(axis=0))  # the entries are counts, so a zero sum is an empty bin
-    check_budget(spent + len(rows) * len(bins) * len(other) * p, budget)
-    dtype = np.int16 if n < 1 << 15 else np.int32 if n < 1 << 31 else np.int64
-    c, t = np.divmod(bins, p)
-    src = c * p + (np.arange(p)[:, None] - t) % p  # shifted[j, r, l] = other[j, src[r, l]]
-    weights = np.ascontiguousarray(rows[:, bins].T, dtype=dtype)
-    other = other.astype(dtype)
-    out = np.empty((len(other), p, len(rows)), dtype=dtype)
-    step = max(1, _PAIR_BLOCK // max(src.size, 1))  # an empty set keeps no bins
-    for lo in range(0, len(other), step):
-        np.matmul(other[lo:lo + step, src], weights, out=out[lo:lo + step])
-    return out
-
-
 def _scaling_orbits(f: FiniteField, inv: np.ndarray, n_rows: int):
     """(reps, rep_of, scale): the rows to pair, and how every row follows from them.
 
@@ -310,33 +279,46 @@ def _class_tally(ds: DefiningSet, budget: int | None = None):
     coordinates equal to r in the codeword of (x, scale[i] y), read as (a, b),
     or (b, a) when b_scaled, for x in row i of the scaled side, y in row j.
 
-    N[a, b, r] = sum_c sum_t A_c[a, t] B_c[b, r - t mod p] is exact in
-    integers for any disjoint blocks.  By linearity N[d a, b, r] =
-    N[a, b / d, r / d] for d in F_p*, and b -> b / d permutes the distinct B
-    rows (it scales their t axis by d) and keeps each row's size.  So with
-    x = d_i u, u leading with 1 (`_scaling_orbits`), row (i, j) is
-    paired[j, r / d_i, rep_of[i]]: only the rows of elements leading with 1
-    are paired (`_pair_rows`; the same holds with A and B swapped), and one
-    blocked gather reads every row from them, orbit-row-major.
+    N[a, b, r] = sum_c sum_t A_c[a, t] B_c[b, r - t mod p] for any disjoint
+    blocks.  By linearity N[d a, b, r] = N[a, b / d, r / d] for d in F_p*,
+    and b -> b / d permutes the distinct B rows (it scales their t axis by d)
+    and keeps each row's size.  So with x = d_i u, u leading with 1
+    (`_scaling_orbits`), row (i, j) is symbol r / d_i of the pair (rep_of[i],
+    j): only the rows of elements leading with 1 are paired (the same holds
+    with A and B swapped), over the kept bins alone, the (class, t) bins
+    c p + t nonzero in some such row, so a thin class side costs its members,
+    not p.  One loop over blocks of other rows pairs each block, its rows
+    shifted by every t times the kept columns of the orbit rows as one
+    float64 matmul, then reads every row's symbols r / d_i from it.  The
+    product is exact: every term and partial sum is a non-negative integer
+    at most sum_c |X_c| |Y_c| = n < 2^53.  A block holds at most
+    `_PAIR_BLOCK` shifted entries, products and counts written.
 
-    The budget charges the scan and the histograms, then, before any pair is
-    formed, the paired rows x kept bins x other rows x p multiply-adds plus
-    the rows x other rows x p entries gathered.
+    The budget charges the scan and the histograms, then, once, before any
+    pair is formed, the rows x other rows x p counts written plus the orbit
+    rows x kept bins x other rows x p multiply-adds.
     """
     p = ds.spec.p
+    if len(ds) >= 1 << 53:
+        raise AssertionError("n is too large for an exact float64 tally")
     spent, side_a, side_b = _grouped_histograms(ds, budget)
     b_scaled = len(side_b[0]) > len(side_a[0])
     (rows, inv), (other, inv_other) = (side_b, side_a) if b_scaled else (side_a, side_b)
     reps, rep_of, scale = _scaling_orbits(ds.spec.field2 if b_scaled else ds.spec.field1, inv, len(rows))
-    paired = _pair_rows(rows[reps], other, p, len(ds), budget, spent + len(rows) * len(other) * p)  # [j, r, rep]
-    inverse = np.array([0] + [pow(c, -1, p) for c in range(1, p)], dtype=np.int64)
-    offsets = (inverse[scale][:, None] * np.arange(p) % p) * len(reps) + rep_of[:, None]  # [i, r]
-    other_at = np.arange(len(other))[:, None] * (p * len(reps))  # [j, 1]
-    flat = paired.ravel()  # in the product's narrow type; each block widens as it is stored
+    bins = np.flatnonzero(rows[reps].sum(axis=0))  # the entries are counts, so a zero sum is an empty bin
+    check_budget(spent + len(rows) * len(other) * p + len(reps) * len(bins) * len(other) * p, budget)
+    c, t = np.divmod(bins, p)
+    src = c * p + (np.arange(p)[:, None] - t) % p  # shifted[j, r, l] = other[j, src[r, l]]
+    weights = rows[reps][:, bins].T.astype(np.float64)
+    other = other.astype(np.float64)
+    inverse = np.array([0] + [pow(d, -1, p) for d in range(1, p)], dtype=np.int64)
+    r_of = inverse[scale][:, None] * np.arange(p) % p  # [i, r]: the symbol r / d_i
     counts = np.empty((len(rows), len(other), p), dtype=np.int64)
-    step = max(1, _PAIR_BLOCK // (len(other) * p))
-    for lo in range(0, len(rows), step):
-        counts[lo:lo + step] = flat[offsets[lo:lo + step, None] + other_at]
+    step = max(1, _PAIR_BLOCK // (p * max(len(bins), len(rows))))
+    for lo in range(0, len(other), step):
+        shifted = other[lo:lo + step, src]  # (block, p, kept)
+        paired = (shifted.reshape(len(shifted) * p, -1) @ weights).reshape(-1, p, len(reps))
+        counts[:, lo:lo + step] = paired[:, r_of, rep_of[:, None]].transpose(1, 0, 2)
     return counts, inv, scale, inv_other, b_scaled
 
 

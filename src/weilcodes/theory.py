@@ -14,7 +14,6 @@ See the comments at the dispatch arms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

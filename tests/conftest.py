@@ -2,8 +2,6 @@
 
 from functools import lru_cache
 
-import numpy as np
-
 from weilcodes.codes import CodeSpec, build_defining_set, complete_weight_enumerator
 
 _ACCEPTANCE = {}

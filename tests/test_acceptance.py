@@ -4,11 +4,9 @@ Each criterion is one test tagged with `acceptance`; a per-criterion
 PASS/FAIL line is printed in the terminal summary.
 """
 
-import itertools
 import time
 
 import numpy as np
-import pytest
 from conftest import acceptance, defining_set_of, enumeration_of, sweep_specs
 
 from weilcodes.bounds import classify, griesmer, pless_check
@@ -20,7 +18,7 @@ from weilcodes.charsum import (
     weil_sum_bruteforce,
     weil_sum_closed,
 )
-from weilcodes.codes import CodeSpec, build_defining_set, complete_weight_enumerator, encode
+from weilcodes.codes import CodeSpec, encode
 from weilcodes.gf import cached_field
 from weilcodes.theory import (
     count_A_bar,

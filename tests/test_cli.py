@@ -96,16 +96,20 @@ def test_argument_errors_exit_2(capsys):
         ["verify", "--sweep", "p=3;m1=1;m2=1;u=1", "--p", "5"],
         ["verify", "--sweep", "p=3;m1=1;m2=1;u=1", "--modulus1", "1,0,2"],
         ["predict", "--p", "3", "--m1", "2", "--m2", "2", "--u", "1", "--lambda", "0", "--modulus2", "2,0,1"],
+        ["verify", "--p", "3", "--m1", "2", "--m2", "2", "--u", "1", "--lambda", "0", "--modulus1", "a,b,c"],
     ],
     ids=["p-composite", "m1-zero", "modulus-not-monic", "sweep-unknown-key", "sweep-empty",
          "sweep-selects-none", "griesmer-k-zero", "griesmer-p-zero", "griesmer-p-one", "griesmer-n-negative",
-         "modulus1-empty", "modulus2-empty", "sweep-with-p", "sweep-with-modulus1", "predict-reducible-modulus2"],
+         "modulus1-empty", "modulus2-empty", "sweep-with-p", "sweep-with-modulus1", "predict-reducible-modulus2",
+         "modulus1-not-integers"],
 )
 def test_bad_values_exit_2_with_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if "a,b,c" in argv:  # a modulus that is not integers names its flag and its value
+        assert "--modulus1" in err and "'a,b,c'" in err
 
 
 def test_verify_above_former_table_limit(capsys):
@@ -447,12 +451,18 @@ def test_predict_without_a_modulus_builds_no_field(capsys, monkeypatch):
     # predict reads no field; the default modulus search alone took 1.6 s at m1 = 80
 
     def no_field(self, *args, **kwargs):
-        raise AssertionError("predict built a field")
+        raise AssertionError("a field was built")
 
     monkeypatch.setattr(gf.FiniteField, "__init__", no_field)
-    code, out, _ = run(capsys, "predict", "--p", "3", "--m1", "80", "--m2", "2", "--u", "1", "--lambda", "1")
+    spec = ["--p", "3", "--m1", "80", "--m2", "2", "--u", "1", "--lambda", "1"]
+    code, out, _ = run(capsys, "predict", *spec)
     assert code == 0
     assert out.startswith("p=3 m1=80 m2=2 u=1 lambda=1 full\ntheorem 9: [")
+    # the budget refuses the scan of 3^80 + 3^2 level values before any field is built
+    for command in ("enumerate", "construct", "verify"):
+        code, out, err = run(capsys, command, *spec)
+        assert (code, out) == (3, ""), command
+        assert err == f"error: enumeration needs at least {3**80 + 3**2} operations, budget is {codes.DEFAULT_BUDGET}\n"
 
 
 def test_sweep_verifies_a_repeated_spec_once(capsys):

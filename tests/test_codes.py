@@ -430,10 +430,14 @@ def _assert_cwe_is_the_reference(ds):
     assert res.freq.tolist() == [want[tuple(c)] for c in res.comps.tolist()], ds.spec
 
 
-@pytest.mark.parametrize(
-    "kind", ["empty", "single-point", "flipped-representative", "random-subset", "p7-custom-moduli"]
-)
-def test_class_tally_equals_the_all_rows_tensordot(kind):
+_KINDS = ["empty", "single-point", "flipped-representative", "random-subset", "p7-custom-moduli"]
+
+
+# each input runs at the default pair block and at one other row per block (`_PAIR_BLOCK` = 1)
+@pytest.mark.parametrize("kind, block", [(k, codes._PAIR_BLOCK) for k in _KINDS] + [(k, 1) for k in _KINDS],
+                         ids=_KINDS + [f"{k}-block-1" for k in _KINDS])
+def test_class_tally_equals_the_all_rows_tensordot(monkeypatch, kind, block):
+    monkeypatch.setattr(codes, "_PAIR_BLOCK", block)
     _assert_tally_is_the_reference(_hand_made_set(kind))
 
 
@@ -443,8 +447,10 @@ _ORBIT_SIDES = {"plain": CodeSpec(3, 3, 3, 1, 1), "orbits-on-a": CodeSpec(13, 2,
                 "orbits-on-b": CodeSpec(11, 1, 2, 1, 3, punctured=True, mod2=(7, 1, 1))}
 
 
-@pytest.mark.parametrize("side", list(_ORBIT_SIDES))
-def test_cwe_equals_the_reference_on_each_orbit_side(side):
+@pytest.mark.parametrize("side, block", [(s, codes._PAIR_BLOCK) for s in _ORBIT_SIDES] + [(s, 1) for s in _ORBIT_SIDES],
+                         ids=list(_ORBIT_SIDES) + [f"{s}-block-1" for s in _ORBIT_SIDES])
+def test_cwe_equals_the_reference_on_each_orbit_side(monkeypatch, side, block):
+    monkeypatch.setattr(codes, "_PAIR_BLOCK", block)
     _assert_cwe_is_the_reference(build_defining_set(_ORBIT_SIDES[side]))
 
 
