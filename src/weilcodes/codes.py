@@ -292,7 +292,9 @@ def _class_tally(ds: DefiningSet, budget: int | None = None):
     float64 matmul, then reads every row's symbols r / d_i from it.  The
     product is exact: every term and partial sum is a non-negative integer
     at most sum_c |X_c| |Y_c| = n < 2^53.  A block holds at most
-    `_PAIR_BLOCK` shifted entries, products and counts written.
+    `_PAIR_BLOCK` shifted entries, products and counts written.  Every
+    gathered row must sum to n; one that does not raises AssertionError, as
+    n >= 2^53 does.
 
     The budget charges the scan and the histograms, then, once, before any
     pair is formed, the rows x other rows x p counts written plus the orbit
@@ -319,6 +321,8 @@ def _class_tally(ds: DefiningSet, budget: int | None = None):
         shifted = other[lo:lo + step, src]  # (block, p, kept)
         paired = (shifted.reshape(len(shifted) * p, -1) @ weights).reshape(-1, p, len(reps))
         counts[:, lo:lo + step] = paired[:, r_of, rep_of[:, None]].transpose(1, 0, 2)
+    if (counts.sum(axis=2) != len(ds)).any():
+        raise AssertionError("a gathered composition does not sum to n")
     return counts, inv, scale, inv_other, b_scaled
 
 

@@ -20,13 +20,16 @@ Whole-field work runs on (N, m) arrays of digit rows, at any field size:
 A single element (`FFElement`) keeps the index or the coefficients it was
 built from and derives the other on first read, so `from_index` and `.index`
 are O(1).  Its products, powers, inverse, trace and quadratic character work
-on the coefficients in pure-Python polynomial arithmetic, which is faster
-than a one-row array product.  The irreducibility test that checks every
-modulus works the same way.  It is Ben-Or's: f of degree m is irreducible
-iff gcd(X^{p^k} - X, f) = 1 for k = 1 .. m // 2.  That is exact, because a
-reducible f has an irreducible factor of degree d <= m / 2, which divides
-X^{p^d} - X; the test stops at the first k that finds one.  Derived data is
-kept in each field's own cache, so it is freed with the field.
+on the coefficients with one polynomial kernel in plain Python integers,
+faster than a one-row array product: a product takes each coefficient mod p
+once, from the top degree down; a square adds each cross term once; a power
+is left-to-right square-and-multiply, and a multiply by X shifts the square.
+The irreducibility test that checks every modulus runs on it.  It is
+Ben-Or's: f of degree m is irreducible iff gcd(X^{p^k} - X, f) = 1 for
+k = 1 .. m // 2.  That is exact, because a reducible f has an irreducible
+factor of degree d <= m / 2, which divides X^{p^d} - X; the test stops at
+the first k that finds one, and asks only whether each gcd is a unit.
+Derived data is kept in each field's own cache, so it is freed with it.
 """
 
 from __future__ import annotations
@@ -85,64 +88,63 @@ def mod_p(x: np.ndarray, p: int) -> np.ndarray:
 # dense polynomials over F_p, little-endian coefficient tuples
 # ---------------------------------------------------------------------------
 
-def _trim(a):
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return a[:i]
-
-
-def _poly_mulmod(a, b, mod, p):
-    # mod is monic of degree m; result has degree < m
+def _poly_reduce(prod, mod, p):
+    """prod mod f as an m-tuple: from the top down, each coefficient is taken mod p once and cancelled."""
     m = len(mod) - 1
-    prod = [0] * (len(a) + len(b) - 1 if a and b else 0)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
+    terms = [(k, c) for k, c in enumerate(mod[:m]) if c]
     for d in range(len(prod) - 1, m - 1, -1):
-        c = prod[d]
+        c = prod[d] % p
         if c:
-            prod[d] = 0
-            for k in range(m):
-                prod[d - m + k] = (prod[d - m + k] - c * mod[k]) % p
-    out = prod[:m]
-    out += [0] * (m - len(out))
-    return tuple(out)
+            for k, fk in terms:
+                prod[d - m + k] -= c * fk
+    return tuple([c % p for c in prod[:m]])
+
+
+def _poly_mulmod(a, b, mod, p, shift=0):
+    """a b X^shift mod f, summed in plain integers and reduced once; a square (a is b) adds a_i a_j once, doubled."""
+    n = len(a)
+    prod = [0] * (2 * n - 1 + shift)
+    for i, ai in enumerate(a):
+        if ai and a is b:
+            prod[2 * i + shift] += ai * ai
+            ai += ai
+            for j in range(i + 1, n):
+                prod[i + j + shift] += ai * a[j]
+        elif ai:
+            for j, bj in enumerate(b, i + shift):
+                prod[j] += ai * bj
+    return _poly_reduce(prod, mod, p)
 
 
 def _poly_powmod(base, e, mod, p):
+    """base^e mod f by left-to-right square-and-multiply; for base X a multiply shifts the square's product."""
     m = len(mod) - 1
-    result = (1,) + (0,) * (m - 1)
-    acc = tuple(base[:m]) + (0,) * (m - len(base))
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, acc, mod, p)
-        acc = _poly_mulmod(acc, acc, mod, p)
-        e >>= 1
+    is_x = m > 1 and base == (0, 1) + (0,) * (m - 2)
+    result = base if e else (1,) + (0,) * (m - 1)
+    for bit in bin(e)[3:]:
+        result = _poly_mulmod(result, result, mod, p, is_x and bit == "1")
+        if bit == "1" and not is_x:
+            result = _poly_mulmod(result, base, mod, p)
     return result
 
 
-def _poly_mod(a, b, p):
-    # remainder of a by nonzero b
-    inv_lead = pow(b[-1], p - 2, p)
-    r = list(a)
+def _is_coprime(a, b, p):
+    """Whether gcd(a, b) is a unit, for lists over F_p with b's top coefficient nonzero.
+
+    Euclid in place on both lists: b <- b mod a, the remainder taken mod p
+    once, then the two swap, until a is zero or a nonzero constant.
+    """
     while True:
-        r = list(_trim(tuple(r)))
-        if len(r) < len(b):
-            return tuple(r)
-        coef = (r[-1] * inv_lead) % p
-        shift = len(r) - len(b)
-        for k in range(len(b)):
-            r[shift + k] = (r[shift + k] - coef * b[k]) % p
-
-
-def _poly_gcd(a, b, p):
-    a = _trim(tuple(c % p for c in a))
-    b = _trim(tuple(c % p for c in b))
-    while b:
-        a, b = b, _poly_mod(a, b, p)
-    return a
+        while a and not a[-1]:
+            a.pop()
+        if len(a) < 2:
+            return len(a) == 1
+        inv, n = pow(a[-1], -1, p), len(a) - 1
+        for d in range(len(b) - 1 - n, -1, -1):
+            c = b.pop() * inv % p
+            for k in range(n):
+                b[d + k] -= c * a[k]
+        a, b = [c % p for c in b], a
 
 
 def is_irreducible(modulus, p: int) -> bool:
@@ -152,10 +154,10 @@ def is_irreducible(modulus, p: int) -> bool:
     irreducible factor g of degree d <= m / 2 (a repeated factor included),
     and g divides X^{p^d} - X, whose roots are all of F_{p^d}; an
     irreducible f has no root in F_{p^k} for k < m.  The test stops at the
-    first k with a nontrivial gcd, so most reducible f cost a few p-th powers
-    (Ben-Or 1981; Gao & Panario, FoCM 1997).
+    first k with a nontrivial gcd, so most reducible f cost one p-th power of
+    X and one unit-gcd check (Ben-Or 1981; Gao & Panario, FoCM 1997).
     """
-    mod = tuple(c % p for c in modulus)
+    mod = tuple([c % p for c in modulus])
     m = len(mod) - 1
     if m < 1 or mod[-1] != 1:
         return False
@@ -163,11 +165,10 @@ def is_irreducible(modulus, p: int) -> bool:
         return True
     if mod[0] == 0:  # X divides it
         return False
-    x = (0, 1) + (0,) * (m - 2)
-    h = x
+    h = (0, 1) + (0,) * (m - 2)
     for _ in range(m // 2):
         h = _poly_powmod(h, p, mod, p)  # X^{p^k} mod f
-        if len(_poly_gcd(tuple((a - b) % p for a, b in zip(h, x)), mod, p)) > 1:
+        if not _is_coprime([h[0], (h[1] - 1) % p, *h[2:]], list(mod), p):
             return False
     return True
 
@@ -325,8 +326,8 @@ class FiniteField:
 
         def build():
             rows = [(1,) + (0,) * (self.m - 1)]
-            for _ in range(2 * self.m - 2):
-                rows.append(_poly_mulmod(rows[-1], (0, 1), self.modulus, self.p))
+            for _ in range(2 * self.m - 2):  # times X: a shift and one reduction step
+                rows.append(_poly_reduce([0, *rows[-1]], self.modulus, self.p))
             return np.array(rows, dtype=np.int64)
 
         return self.cached("x_powers", build)
@@ -350,8 +351,11 @@ class FiniteField:
                 return np.eye(self.m, dtype=np.int64)
             if k > 1:
                 return self.frob_matrix(k - 1) @ self.frob_matrix(1) % self.p
-            units = np.eye(self.m, dtype=np.int64).tolist()
-            rows = [_poly_powmod(tuple(e), self.p, self.modulus, self.p) for e in units]
+            # (X^i)^p = (X^p)^i: one powering of X, then a product per row
+            xp = _poly_powmod(self.gen().coeffs, self.p, self.modulus, self.p)
+            rows = [(1,) + (0,) * (self.m - 1)]
+            for _ in range(self.m - 1):
+                rows.append(_poly_mulmod(rows[-1], xp, self.modulus, self.p))
             return np.array(rows, dtype=np.int64)
 
         return self.cached(("frob", k), build)

@@ -450,8 +450,12 @@ _ORBIT_SIDES = {"plain": CodeSpec(3, 3, 3, 1, 1), "orbits-on-a": CodeSpec(13, 2,
 @pytest.mark.parametrize("side, block", [(s, codes._PAIR_BLOCK) for s in _ORBIT_SIDES] + [(s, 1) for s in _ORBIT_SIDES],
                          ids=list(_ORBIT_SIDES) + [f"{s}-block-1" for s in _ORBIT_SIDES])
 def test_cwe_equals_the_reference_on_each_orbit_side(monkeypatch, side, block):
+    # codeword by codeword too: at orbits-on-a a wrong symbol permutation (r d_i for r / d_i)
+    # leaves the CWE multiset as it is
     monkeypatch.setattr(codes, "_PAIR_BLOCK", block)
-    _assert_cwe_is_the_reference(build_defining_set(_ORBIT_SIDES[side]))
+    ds = build_defining_set(_ORBIT_SIDES[side])
+    _assert_cwe_is_the_reference(ds)
+    _assert_tally_is_the_reference(ds)
 
 
 # (p, m1, m2) of the differential draw: p^K <= 7^4, 13^3, 23^3
@@ -590,17 +594,39 @@ def test_we_and_dimension_has_no_dimension_without_a_power_of_p_kernel():
 
 @pytest.mark.parametrize("zero_codewords", [0, 6])
 def test_complete_weight_enumerator_refuses_a_zero_count_not_a_power_of_p(monkeypatch, zero_codewords):
-    # planted histogram rows over the 3 x 3 messages of (3, 1, 1), one class: every b in the B
-    # row (1, 0, 0), which pairs each A row to itself.  For 6 messages, a = 1, 2 share the row of
-    # the zero composition (2, 0, 0) and a = 0 has (1, 1, 0); for none, every a shares (1, 1, 0)
+    # planted histogram rows over the 3 x 3 messages of (3, 1, 1), n = 4, one class: every b in the
+    # B row (2, 0, 0), which pairs each A row to twice itself.  For 6 messages, a = 1, 2 share the
+    # row of the zero composition (4, 0, 0) and a = 0 has (2, 2, 0); for none, every a shares (2, 2, 0)
     if zero_codewords:
         side_a = (np.array([[2, 0, 0], [1, 1, 0]]), np.array([1, 0, 0]))
     else:
         side_a = (np.array([[1, 1, 0]]), np.zeros(3, dtype=np.int64))
-    side_b = (np.array([[1, 0, 0]]), np.zeros(3, dtype=np.int64))
+    side_b = (np.array([[2, 0, 0]]), np.zeros(3, dtype=np.int64))
     monkeypatch.setattr(codes, "_grouped_histograms", lambda ds, budget: (0, side_a, side_b))
     with pytest.raises(AssertionError, match="not a power of p"):
         complete_weight_enumerator(build_defining_set(CodeSpec(3, 1, 1, 1, 1)))
+
+
+@pytest.mark.parametrize("spec", [CodeSpec(3, 1, 1, 1, 1), CodeSpec(5, 2, 1, 1, 2), CodeSpec(13, 2, 2, 1, 0, True)],
+                         ids=["3-1-1", "5-2-1", "13-2-2-punctured"])
+def test_class_tally_refuses_a_composition_that_does_not_sum_to_n(monkeypatch, spec):
+    # one count dropped from the first histogram row of each side: the other side's rows are all
+    # paired, so some gathered composition sums to less than n
+    real = codes._grouped_histograms
+
+    def dropped(ds, budget):
+        spent, (uniq_a, inv_a), (uniq_b, inv_b) = real(ds, budget)
+        for uniq in (uniq_a, uniq_b):
+            uniq[0, np.flatnonzero(uniq[0])[0]] -= 1
+        return spent, (uniq_a, inv_a), (uniq_b, inv_b)
+
+    ds = build_defining_set(spec)
+    assert _class_tally(ds)[0].sum(axis=2).min() == len(ds)
+    monkeypatch.setattr(codes, "_grouped_histograms", dropped)
+    with pytest.raises(AssertionError, match="does not sum to n"):
+        _class_tally(ds)
+    with pytest.raises(AssertionError, match="does not sum to n"):
+        complete_weight_enumerator(ds)
 
 
 _PUNCTURED_P7_P13 = [CodeSpec(7, 2, 2, 1, 0, True), CodeSpec(7, 2, 2, 1, 3, True), CodeSpec(7, 1, 3, 2, 1, True),

@@ -44,7 +44,9 @@ def test_smallest_irreducible_matches_scan():
 
 
 # the default moduli, as found by a full scan of every candidate with Rabin's
-# irreducibility test, before the test became Ben-Or's and the scan skipped c_0 = 0
+# irreducibility test, before the test became Ben-Or's and the scan skipped c_0 = 0;
+# (3, 30), (5, 12) and (131, 4) as Ben-Or's test found them with a product reduced mod p after
+# every multiply-add
 DEFAULT_MODULI = {
     (3, 1): (0, 1),
     (3, 2): (1, 0, 1),
@@ -77,6 +79,9 @@ DEFAULT_MODULI = {
     (13, 1): (0, 1),
     (13, 2): (1, 3, 1),
     (13, 3): (1, 0, 4, 1),
+    (3, 30): (1,) + (0,) * 26 + (1, 0, 2, 1),
+    (5, 12): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 4, 1),
+    (131, 4): (1, 0, 0, 1, 1),
 }
 
 
@@ -131,7 +136,9 @@ def test_irreducibility_catches_2_plus_3_split():
 @pytest.mark.parametrize(
     "p,m",
     [(3, m) for m in range(1, 8)] + [(5, m) for m in range(1, 5)] + [(7, m) for m in range(1, 4)]
-    + [(11, 2), (13, 2)],
+    + [(11, 2), (13, 2)]
+    # large p, where X^p takes up to 7 squarings, and a test of 4 steps
+    + [(43, 2), (47, 2), (131, 2), (3, 8)],
 )
 def test_irreducible_count_is_the_necklace_number(p, m):
     # Gauss: there are (1/m) sum_{d | m} mu(d) p^{m/d} monic irreducibles of degree m
@@ -162,6 +169,51 @@ def test_irreducibility_checks_factors_up_to_half_the_degree():
         assert not is_irreducible(f, p), f
     for f in (quad, quartic, *cubics):
         assert is_irreducible(f, p)
+
+
+def _poly_rem(a, f, p):
+    """a mod the monic f by long division, one coefficient at a time."""
+    r = [c % p for c in a]
+    m = len(f) - 1
+    for d in range(len(r) - 1, m - 1, -1):
+        c = r[d]
+        for k in range(m + 1):
+            r[d - m + k] = (r[d - m + k] - c * f[k]) % p
+    return tuple((r + [0] * m)[:m])
+
+
+def _ref_mul(a, b, f, p):
+    return _poly_rem(_poly_mul(a, b, p), f, p)
+
+
+def _ref_pow(a, e, f, p):
+    # right to left, on the schoolbook product
+    out = (1,) + (0,) * (len(f) - 2)
+    while e:
+        if e & 1:
+            out = _ref_mul(out, a, f, p)
+        a = _ref_mul(a, a, f, p)
+        e >>= 1
+    return out
+
+
+@pytest.mark.parametrize("p,m,modulus", [(131, 2, None), (3, 9, None), (5, 4, (4, 4, 4, 3, 1)), (7, 3, None)])
+def test_element_arithmetic_matches_a_schoolbook_reference(p, m, modulus):
+    # products, squares, powers and inverses of single elements against long division of the
+    # plain product, the powers right to left; X and 1 included among the operands
+    f = field_create(p, m, modulus)
+    mod, q = f.modulus, f.q
+    rng = random.Random(q)
+    exponents = [0, 1, 2, p, q - 2, q - 1, q, 3 * q - 1] + [rng.randrange(3 * q) for _ in range(4)]
+    operands = [f.gen(), f.one()] + [f.from_index(rng.randrange(1, q)) for _ in range(12)]
+    for x in operands:
+        y = f.from_index(rng.randrange(q))
+        assert (x * y).coeffs == _ref_mul(x.coeffs, y.coeffs, mod, p)
+        assert (x * x).coeffs == _ref_mul(x.coeffs, x.coeffs, mod, p)
+        for e in exponents:
+            assert (x**e).coeffs == _ref_pow(x.coeffs, e, mod, p), e
+        assert _ref_mul(x.inverse().coeffs, x.coeffs, mod, p) == f.one().coeffs
+        assert x.inverse() == x**-1
 
 
 def test_f9_basic_arithmetic():
