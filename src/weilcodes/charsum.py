@@ -196,10 +196,10 @@ def orthogonality_sum(field: FiniteField, b: FFElement) -> CycInt:
 
 
 def weil_sum_bruteforce(field: FiniteField, u: int, a: FFElement, b: FFElement) -> CycInt:
-    """Exhaustive sum of zeta^{Tr(a x^{p^u + 1} + b x)}."""
+    """Exhaustive sum of zeta^{Tr(a x^{p^u + 1} + b x)}; u counts mod m, as x^{p^m} = x."""
     if a.is_zero():
         raise ZeroA("a must be nonzero")
-    return _exhaustive_sum(field, field.p**u + 1, a, b)
+    return _exhaustive_sum(field, field.p ** (u % field.m) + 1, a, b)
 
 
 def quad_sum_bruteforce(field: FiniteField, a: FFElement, b: FFElement) -> CycInt:
@@ -316,11 +316,14 @@ def gamma_of(field: FiniteField, u: int, b: FFElement) -> FFElement | None:
 
 
 def gamma_trace_table(field: FiniteField, u: int) -> np.ndarray:
-    """Tr(gamma_b^{p^u+1}) for every b index, -1 where gamma_b does not exist; kept with the field."""
+    """Tr(gamma_b^{p^u+1}) for every b index, -1 where gamma_b does not exist; kept with the field.
+
+    u counts mod m, as x^{p^m} = x.
+    """
 
     def build():
         gam = gamma_table(field, u)
-        return np.where(gam >= 0, field.trace_table()[field.power_table(field.p**u + 1)[gam]], -1)
+        return np.where(gam >= 0, field.trace_table()[field.power_table(field.p ** (u % field.m) + 1)[gam]], -1)
 
     return field.cached(("gamma_trace", u), build)
 

@@ -18,6 +18,10 @@ from .gf import CompositeP, FFElement, FieldMismatch, FiniteField, cached_field,
 
 DEFAULT_BUDGET = 10_000_000
 
+# the entry type of the per-pair (q1, q2, p) composition tables, here and in `theory`: an entry counts coordinates,
+# so it is at most n, and n <= q1 q2 keeps n < 2^31 for any table of fewer than 2^31 p entries
+TABLE_DTYPE = np.int32
+
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
@@ -134,7 +138,7 @@ def build_defining_set(spec: CodeSpec) -> DefiningSet:
     f1, f2 = spec.field1, spec.field2
     p, lam = spec.p, spec.lam
     level_x = f1.trace_table()[f1.power_table(2)]
-    level_y = f2.trace_table()[f2.power_table(p**spec.u + 1)]
+    level_y = f2.trace_table()[f2.power_table(p ** (spec.u % f2.m) + 1)]  # u counts mod m2: x^{p^m2} = x
     if spec.punctured:
         # c (x, y) must keep the level set: every c != 0 for lambda = 0, else only +-1.  The
         # lex-least of the c x leads with the least of the c lead(x): 1, or lead(x) <= (p - 1)/2
@@ -215,6 +219,12 @@ def check_budget(required: int, budget: int | None, at_least: bool = False) -> N
     """
     if budget is not None and required > budget:
         raise BudgetExceeded(required, budget, at_least)
+
+
+def check_table_length(n: int) -> None:
+    """Refuse (AssertionError) a length n that a `TABLE_DTYPE` entry cannot hold, before any table is built."""
+    if n > np.iinfo(TABLE_DTYPE).max:
+        raise AssertionError(f"n = {n} is too large for the {np.dtype(TABLE_DTYPE)} entries of a composition table")
 
 
 # a block of the pair loop holds at most this many entries (1 MB at float64) of shifted rows, products or counts written
@@ -327,18 +337,23 @@ def _class_tally(ds: DefiningSet, budget: int | None = None):
 
 
 def symbol_count_table(ds: DefiningSet, budget: int | None = DEFAULT_BUDGET) -> np.ndarray:
-    """(q1, q2, p) tally: entry [a, b, r] counts coordinates of codeword (a, b) equal to r.
+    """(q1, q2, p) `TABLE_DTYPE` tally: entry [a, b, r] counts coordinates of codeword (a, b) equal to r.
 
     It reads `_class_tally` at every message pair: with x in row i of the
     scaled side and y on the other, (x, y) is row (i, row of y / scale[i]),
     taken as (b, a) when B is the scaled side; the rows of y / d are mapped
-    one d at a time.  The budget charges the q1 q2 p entries of the table, a
-    lower bound, before the tally's own charge, which is the measurement's.
+    one d at a time.  The tally's rows are cast to int32 before the gather,
+    so no int64 array of the table's size is built; n >= 2^31 is refused
+    (`check_table_length`) before anything is.  The budget charges the
+    q1 q2 p entries of the table, a lower bound, before the tally's own
+    charge, which is the measurement's.
     """
     spec = ds.spec
     p = spec.p
+    check_table_length(len(ds))
     check_budget(spec.field1.q * spec.field2.q * p, budget, at_least=True)
     counts, inv, scale, inv_other, b_scaled = _class_tally(ds, budget)
+    counts = counts.astype(TABLE_DTYPE)
     f = spec.field1 if b_scaled else spec.field2  # the other side's field
     rows_of_y = np.stack([inv_other[f.indices_of(mod_p(f.digits() * np.int64(pow(d, -1, p)), p))]
                           for d in range(1, p)])[scale[inv] - 1]  # [x, y]: the row of y / scale of x's row
@@ -353,9 +368,10 @@ class EnumerationResult:
     compositions in lexicographic order ((rows, p) int64), and `freq`, the
     number of codewords of each (int64).  `cwe` is the same enumerator as a
     dict, composition tuple -> int in that order, built the first time it is
-    read.  `table` is the (q1, q2, p) tally of `symbol_count_table`, read from
-    the CWE's orbit tally of the defining set `ds` the first time it is read,
-    without a budget: the measurement was charged for it.
+    read.  `table` is the (q1, q2, p) `TABLE_DTYPE` (int32) tally of
+    `symbol_count_table`, read from the CWE's orbit tally of the defining set
+    `ds` the first time it is read, without a budget: the measurement was
+    charged for it.  Reading it refuses n >= 2^31 with AssertionError.
     """
 
     length: int

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charsum import GaussScale, eta1, gamma_trace_table
-from .codes import CodeSpec, min_weight, we_and_dimension
+from .codes import TABLE_DTYPE, CodeSpec, check_table_length, min_weight, we_and_dimension
 from .gf import mod_p
 
 
@@ -303,21 +303,25 @@ def predict_cwe(spec: CodeSpec) -> PredictedEnumerator:
 
 
 def predicted_table(spec: CodeSpec) -> np.ndarray:
-    """(q1, q2, p) array of predicted compositions for every message pair.
+    """(q1, q2, p) `TABLE_DTYPE` (int32) array of predicted compositions for every message pair.
 
     Entry [a, b] of the full code is `_composition` of whether gamma_b exists
     and of T(a, b) = Tr(a^2/4) + Tr(gamma_b^{p^u+1}), read from `predicted_keys`;
-    the (0, 0) entry holds the zero codeword's composition.
+    the (0, 0) entry holds the zero codeword's composition.  The per-class
+    rows are int32 and gathered into the int32 table, so no int64 array of
+    its size is built; a length n >= 2^31 is refused (`check_table_length`)
+    before anything is.
     """
     full = spec.full()
     p = spec.p
     n = predict_length(full)
+    check_table_length(n)
     ta, tb = predicted_keys(full)
     solvable = tb >= 0
     T = mod_p(ta[:, None] + tb[None, :], p)
-    comp_by_t = np.array([_composition(full, True, t) for t in range(p)], dtype=np.int64)
+    comp_by_t = np.array([_composition(full, True, t) for t in range(p)], dtype=TABLE_DTYPE)
     out = comp_by_t[T]
     if not solvable.all():
-        out[:, ~solvable, :] = np.array(_composition(full, False, None), dtype=np.int64)
-    out[0, 0] = np.array((n,) + (0,) * (p - 1), dtype=np.int64)
+        out[:, ~solvable, :] = np.array(_composition(full, False, None), dtype=TABLE_DTYPE)
+    out[0, 0] = np.array((n,) + (0,) * (p - 1), dtype=TABLE_DTYPE)
     return out

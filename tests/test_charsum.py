@@ -6,6 +6,7 @@ import math
 import random
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from weilcodes.charsum import (
     g1,
     gamma_of,
     gamma_table,
+    gamma_trace_table,
     gauss_sum_bruteforce,
     gauss_sum_closed,
     orthogonality_sum,
@@ -152,6 +154,20 @@ def test_weil_brute_matches_independent_oracle():
         val = a * x ** (3 + 1) + b * x
         terms.append((1, val.trace()))
     assert weil_sum_bruteforce(f9, 1, a, b).coeffs == dict_sum_oracle(3, terms)
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (5, 3), (3, 4)])
+def test_weil_sums_and_gamma_take_u_mod_m(p, m):
+    # x^{p^m} = x, so u and u + k m give one sum and one gamma table, even where p^u is out of reach
+    f = field_create(p, m)
+    rng = random.Random(p * 10 + m)
+    for u in range(1, m + 1):
+        for big in (u + m, u + 10**12 * m):
+            assert np.array_equal(gamma_trace_table(f, big), gamma_trace_table(f, u)), (u, big)
+            for _ in range(4):
+                a, b = f.from_index(rng.randrange(1, f.q)), f.from_index(rng.randrange(f.q))
+                want = weil_sum_bruteforce(f, u, a, b)
+                assert weil_sum_bruteforce(f, big, a, b) == want == weil_sum_closed(f, big, a, b), (u, big)
 
 
 def test_weil_closed_spec_values():

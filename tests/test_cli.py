@@ -483,6 +483,21 @@ def test_p131_verifies_within_the_default_budget(capsys):
     assert out.startswith("p=131 m1=1 m2=1 u=1 lambda=1 full: [132,2,130] ") and "match=yes" in out
 
 
+@pytest.mark.parametrize("m1,m2,u", [(2, 2, 1), (2, 2, 2), (1, 3, 2), (2, 1, 1)])
+def test_verify_takes_u_mod_m2(capsys, m1, m2, u):
+    # x^{p^m2} = x: u + k m2 verifies as u does, and the report keeps the u given
+    reports = []
+    for given in (u, u + 10**10 * m2):
+        code, out, _ = run(capsys, "verify", "--p", "3", "--m1", str(m1), "--m2", str(m2), "--u", str(given),
+                           "--lambda", "1", "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["spec"].pop("u") == given and report["match"]["we"] is True
+        del report["timing_ms"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_parse_sweep_defaults_cap():
     specs = parse_sweep("")
     assert all(s.p ** s.K <= 5**6 for s in specs)

@@ -368,7 +368,7 @@ def test_factorized_tally_matches_encode_rows(kind):
             word = encode(ds, f1.from_index(ai), f2.from_index(bi))
             want[ai, bi] = np.bincount(word, minlength=p)
     table = symbol_count_table(ds)
-    assert table.dtype == np.int64
+    assert table.dtype == np.int32
     assert np.array_equal(table, want)
     # the CWE weighs each class pair by its number of messages instead of
     # reading the table; the table itself is expanded only when read
@@ -377,7 +377,7 @@ def test_factorized_tally_matches_encode_rows(kind):
     assert res.cwe == cwe
     assert list(res.cwe) == sorted(cwe)
     assert all(type(k) is int for k in res.cwe.values())
-    assert res.table.dtype == np.int64
+    assert res.table.dtype == np.int32
     assert np.array_equal(res.table, table)
 
 
@@ -406,7 +406,7 @@ def _assert_tally_is_the_reference(ds):
     # the same way: codeword by codeword, not only as a multiset
     counts, inv_a, inv_b = _reference_tally(ds)
     table = symbol_count_table(ds)
-    assert table.dtype == np.int64 and table.flags.c_contiguous, ds.spec
+    assert table.dtype == np.int32 and table.flags.c_contiguous, ds.spec
     assert np.array_equal(table, counts[inv_a[:, None], inv_b[None, :]]), ds.spec
     _, inv, _, inv_other, b_scaled = _class_tally(ds)
     for g, w in zip((inv_other, inv) if b_scaled else (inv, inv_other), (inv_a, inv_b)):

@@ -2,14 +2,23 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from weilcodes import theory
 from weilcodes.charsum import gamma_of
-from weilcodes.codes import CodeSpec, build_defining_set, complete_weight_enumerator, encode
+from weilcodes.codes import (
+    CodeSpec,
+    DefiningSet,
+    build_defining_set,
+    complete_weight_enumerator,
+    encode,
+    symbol_count_table,
+)
 from weilcodes.gf import FiniteField, is_irreducible
 from weilcodes.theory import (
     WrongRegime,
@@ -187,9 +196,37 @@ def test_column_balance_of_predicted_table():
 
 
 def test_predicted_table_matches_measured_spot():
-    for spec in (CodeSpec(3, 2, 2, 1, 0), CodeSpec(3, 1, 4, 1, 1), CodeSpec(5, 1, 2, 1, 3)):
+    # (3, 6, 5, 1, 1) has n = 59 292 > 2^15: a table narrower than int32 would wrap there
+    for spec in (CodeSpec(3, 2, 2, 1, 0), CodeSpec(3, 1, 4, 1, 1), CodeSpec(5, 1, 2, 1, 3), CodeSpec(3, 6, 5, 1, 1)):
         res = complete_weight_enumerator(build_defining_set(spec), budget=None)
         assert np.array_equal(predicted_table(spec), res.table)
+
+
+@pytest.mark.parametrize("table", ["predicted", "measured"])
+def test_tables_refuse_a_length_an_int32_entry_cannot_hold(monkeypatch, table):
+    # n = 2^31 is one past the largest int32; the refusal comes before any allocation, where the
+    # (43, 43^2, 43) table would take 13.7 MB
+    spec = CodeSpec(43, 1, 2, 1, 1)
+    ds = build_defining_set(spec)
+    if table == "predicted":
+        monkeypatch.setattr(theory, "predict_length", lambda spec: 1 << 31)
+    else:
+        monkeypatch.setattr(DefiningSet, "__len__", lambda self: 1 << 31)
+    tracemalloc.start()
+    try:
+        with pytest.raises(AssertionError, match="too large for the int32 entries"):
+            predicted_table(spec) if table == "predicted" else symbol_count_table(ds, budget=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_predicted_table_holds_the_largest_int32_length(monkeypatch):
+    # one below the bound is accepted and stored exactly in the zero codeword's entry
+    monkeypatch.setattr(theory, "predict_length", lambda spec: (1 << 31) - 1)
+    table = predicted_table(CodeSpec(3, 1, 2, 1, 1))
+    assert table.dtype == np.int32 and table[0, 0].tolist() == [(1 << 31) - 1, 0, 0]
 
 
 def test_degenerate_empty_code_is_consistent():
