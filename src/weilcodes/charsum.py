@@ -228,11 +228,12 @@ def gauss_sum_closed(p: int, m: int) -> CycInt:
 
 
 def _weil_dispatch(field: FiniteField, u: int, a: FFElement):
-    """Per-(u, a) data for the closed Weil sum, kept with the field: solver and scale.
+    """Per-(u mod m, a) data for the closed Weil sum, kept with the field: solver and scale.
 
     The sum is scale * zeta^e when the shift equation is solvable, else 0.
     """
     p, m = field.p, field.m
+    u %= m
     v = math.gcd(m, u)
 
     def build():
@@ -292,11 +293,13 @@ def gamma_table(field: FiniteField, u: int) -> np.ndarray:
     The right-hand side is F_p-linear in b, so one elimination serves every b:
     gamma_b is the designated solution (free coordinates zero) that
     `LinOperator.solve_rows` finds for all the digit rows of -b^{p^u} at
-    once.  The table is kept with the field; a call that finds it there
-    returns it before anything else is set up, since `gamma_of` calls this
-    once per b.
+    once.  The table is kept with the field under u mod m, as x^{p^m} = x.  A
+    call that finds it there returns it after one read of the field's cache
+    dict, with no call of `FiniteField.cached` and nothing else set up, since
+    `gamma_of` calls this once per b.
     """
-    table = field.cached(("gamma", u))
+    u %= field.m
+    table = field._caches.get(("gamma", u))
     if table is not None:
         return table
 
@@ -313,17 +316,3 @@ def gamma_of(field: FiniteField, u: int, b: FFElement) -> FFElement | None:
     """The designated solution of X^{p^{2u}} + X = -b^{p^u} (None when unsolvable)."""
     gi = gamma_table(field, u).item(b.index)
     return None if gi < 0 else FFElement(field, None, gi)
-
-
-def gamma_trace_table(field: FiniteField, u: int) -> np.ndarray:
-    """Tr(gamma_b^{p^u+1}) for every b index, -1 where gamma_b does not exist; kept with the field.
-
-    u counts mod m, as x^{p^m} = x.
-    """
-
-    def build():
-        gam = gamma_table(field, u)
-        return np.where(gam >= 0, field.trace_table()[field.power_table(field.p ** (u % field.m) + 1)[gam]], -1)
-
-    return field.cached(("gamma_trace", u), build)
-

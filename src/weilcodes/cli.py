@@ -340,8 +340,17 @@ def json_text(obj, indent: str = "") -> str:
 _ONLY_INT = frozenset((int,))
 
 
-def _emit(obj):
-    print(json_text(obj))
+# characters per write: CPython writes at most 0x7ffff000 bytes in one call and drops the rest
+# with no error; the JSON is ASCII, one byte per character
+_PIECE = 1 << 30
+
+
+def _emit(*texts):
+    """Print the texts one after another, then a newline, in writes of at most _PIECE characters."""
+    for text in texts:
+        for lo in range(0, len(text), _PIECE):
+            sys.stdout.write(text[lo : lo + _PIECE])
+    sys.stdout.write("\n")
 
 
 def _spec_line(spec: CodeSpec) -> str:
@@ -370,7 +379,7 @@ def cmd_construct(args) -> int:
             "theorem": key.theorem,
             "points": [[list(x.coeffs), list(y.coeffs)] for x, y in ds.points],
         }
-        _emit(obj)
+        _emit(json_text(obj))
     else:
         print(_spec_line(spec))
         print(f"length: {len(ds)}  (K={spec.K}, v={spec.v}, m2/v={spec.m2 // spec.v}, theorem {key.theorem})")
@@ -386,7 +395,7 @@ def cmd_enumerate(args) -> int:
     budget = resolve_budget(args)
     res = _measure(spec, budget)
     if args.format == "json":
-        _emit(
+        _emit(json_text(
             {
                 "spec": spec_dict(spec),
                 "length": res.length,
@@ -395,7 +404,7 @@ def cmd_enumerate(args) -> int:
                 "we": we_pairs(res.we),
                 "cwe": measured_cwe_rows(res),
             },
-        )
+        ))
     else:
         print(_spec_line(spec))
         print(f"[{res.length},{res.dimension},{res.min_distance}]")
@@ -411,7 +420,7 @@ def cmd_predict(args) -> int:
         spec = spec_from_args(args)
     pred = predict_cwe(spec)
     if args.format == "json":
-        _emit(
+        _emit(json_text(
             {
                 "spec": spec_dict(spec),
                 "theorem": pred.source,
@@ -421,7 +430,7 @@ def cmd_predict(args) -> int:
                 "we": we_pairs(pred.we),
                 "cwe": predicted_cwe_pairs(pred),
             },
-        )
+        ))
     else:
         print(_spec_line(spec))
         print(f"theorem {pred.source}: [{pred.length},{pred.dimension},{pred.min_distance}]")
@@ -444,13 +453,14 @@ def cmd_verify(args) -> int:
                              "--modulus1 --modulus2")
     with _user_input():
         specs = [spec_from_args(args)] if single else parse_sweep(args.sweep)
-    reports = []  # kept for JSON alone; text prints each spec's line as it goes
+    pieces = []  # a JSON sweep's text, made per report at once so that its arrays are freed
     all_ok = True
     for spec in specs:
         report, ok = run_report(spec, budget)
         all_ok &= ok
         if args.format == "json":
-            reports.append(report)
+            if not single:  # json_text of the report list, item by item
+                pieces += [",\n  " if pieces else "[\n  ", json_text(report, "  ")]
         else:
             n, k, d = _parameters(report)
             gr = report["griesmer"]
@@ -463,7 +473,7 @@ def cmd_verify(args) -> int:
             if single:
                 print(f"WE: {fmt_we(dict(report['we']))}")
     if args.format == "json":
-        _emit(reports[0] if single else reports)
+        _emit(*([json_text(report)] if single else pieces + ["\n]"]))
     elif not single:
         status = "all match" if all_ok else "MISMATCH"
         print(f"{len(specs)} specs verified: {status}")
@@ -477,7 +487,7 @@ def cmd_tables(args) -> int:
     specs = [CodeSpec(3, m1, m2, u, lam, punctured) for lam, m1, m2, u in _TABLE_ROWS[base]]
     rows = [run_report(spec, budget) for spec in specs]
     if args.format == "json":
-        _emit(
+        _emit(json_text(
             [
                 {
                     "spec": report["spec"],
@@ -488,7 +498,7 @@ def cmd_tables(args) -> int:
                 }
                 for report, ok in rows
             ],
-        )
+        ))
     else:
         print(f"Table {base}{'°' if punctured else ''} (recomputed)")
         print(f"{'λ':>2} {'m1':>3} {'m2':>3} {'u':>2} {'m2/v':>4} {'K':>2}  parameters      weight enumerator")
@@ -507,7 +517,7 @@ def cmd_griesmer(args) -> int:
     with _user_input():
         rep = classify(args.p, args.n, args.k, args.d)
     if args.format == "json":
-        _emit(vars(rep))
+        _emit(json_text(vars(rep)))
     else:
         print(
             f"[{rep.n},{rep.k},{rep.d}] over F_{rep.p}: g({rep.k},{rep.d}) = {rep.g_of_d}, "

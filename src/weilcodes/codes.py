@@ -137,8 +137,7 @@ def build_defining_set(spec: CodeSpec) -> DefiningSet:
     """
     f1, f2 = spec.field1, spec.field2
     p, lam = spec.p, spec.lam
-    level_x = f1.trace_table()[f1.power_table(2)]
-    level_y = f2.trace_table()[f2.power_table(p ** (spec.u % f2.m) + 1)]  # u counts mod m2: x^{p^m2} = x
+    level_x, level_y = f1.quadratic_trace(0), f2.quadratic_trace(spec.u)
     if spec.punctured:
         # c (x, y) must keep the level set: every c != 0 for lambda = 0, else only +-1.  The
         # lex-least of the c x leads with the least of the c lead(x): 1, or lead(x) <= (p - 1)/2

@@ -35,7 +35,7 @@ Derived data is kept in each field's own cache, so it is freed with it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -471,30 +471,23 @@ class FiniteField:
         """x^e for every index x, as an int32 index vector (0^0 = 1).
 
         Built from the base-p digits of e = sum e_k p^k as the product of the
-        (x^{e_k})^{p^k}: each p^k-th power is the digit rows times
-        `frob_matrix(k)`, and each x^d, d < p, is assembled once per distinct
-        digit from the squares x^{2^j}.  So x^{p^u + 1} costs one `mulmod`
-        and x^2 one square.  The rows go in blocks, each `mulmod` product
-        holding at most _BLOCK entries.
+        (x^{p^k})^{e_k}: each p^k-th power is the digit rows times
+        `frob_matrix(k)`, multiplied in e_k times with `mulmod`.  So
+        x^{p^u + 1} and x^2 cost one `mulmod` each.  The rows go in blocks,
+        each `mulmod` product holding at most _BLOCK entries.
         """
         if e < 0:
             raise GFError(f"power_table needs a nonnegative exponent, got {e}")
 
         def powers(rows):
-            squares = [rows]  # x^(2^j), shared by every digit
-            of_digit = {}  # x^d per digit value d in use
             out = None
             rest, k = e, 0
             while rest:
                 rest, d = divmod(rest, self.p)
                 if d:
-                    if d not in of_digit:
-                        while len(squares) < d.bit_length():
-                            squares.append(self.mulmod(squares[-1], squares[-1]))
-                        bits = [sq for j, sq in enumerate(squares) if d >> j & 1]
-                        of_digit[d] = reduce(self.mulmod, bits)
-                    term = mod_p(of_digit[d] @ self.frob_matrix(k), self.p)
-                    out = term if out is None else self.mulmod(out, term)
+                    term = mod_p(rows @ self.frob_matrix(k), self.p)
+                    for _ in range(d):
+                        out = term if out is None else self.mulmod(out, term)
                 k += 1
             return self.indices_of(out)
 
@@ -509,6 +502,11 @@ class FiniteField:
             return out
 
         return self.cached(("pow", e), build)
+
+    def quadratic_trace(self, u: int) -> np.ndarray:
+        """Tr(x^{p^u + 1}) for every index x (int16), Tr(x^2) at u = 0; u counts mod m, as x^{p^m} = x."""
+        u %= self.m
+        return self.cached(("quadratic_trace", u), lambda: self.trace_table()[self.power_table(self.p**u + 1)])
 
     def trace_of_products(self) -> np.ndarray:
         """(q, q) table of Tr(x*y), built as D G D^T mod p in row blocks.

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charsum import GaussScale, eta1, gamma_trace_table
+from .charsum import GaussScale, eta1, gamma_table
 from .codes import TABLE_DTYPE, CodeSpec, check_table_length, min_weight, we_and_dimension
 from .gf import mod_p
 
@@ -126,11 +126,10 @@ def _orbit_size(spec: CodeSpec) -> int:
 # ---------------------------------------------------------------------------
 
 def predicted_keys(spec: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(Tr(a^2/4) per a index, Tr(gamma_b^{p^u+1}) per b index or -1 where gamma_b is missing), kept with the fields."""
-    f1, p = spec.field1, spec.p
-    ta = f1.cached("quarter_square_trace",
-                   lambda: mod_p(pow(4, p - 2, p) * f1.trace_table()[f1.power_table(2)].astype(np.int64), p))
-    return ta, gamma_trace_table(spec.field2, spec.u)
+    """(Tr(a^2/4) per a index, Tr(gamma_b^{p^u+1}) per b index or -1 where gamma_b is missing), from `quadratic_trace`."""
+    gam, p = gamma_table(spec.field2, spec.u), spec.p
+    ta = mod_p(pow(4, p - 2, p) * spec.field1.quadratic_trace(0).astype(np.int64), p)
+    return ta, np.where(gam >= 0, spec.field2.quadratic_trace(spec.u)[gam], -1)
 
 
 def _composition(spec: CodeSpec, solvable: bool, t: int | None) -> tuple[int, ...]:

@@ -2,6 +2,7 @@
 
 from functools import lru_cache
 
+from weilcodes.cli import parse_sweep
 from weilcodes.codes import CodeSpec, build_defining_set, complete_weight_enumerator
 
 _ACCEPTANCE = {}
@@ -42,23 +43,13 @@ def pytest_terminal_summary(terminalreporter):
 
 
 # ---------------------------------------------------------------------------
-# the verification sweep: p in {3,5}, m1 <= 3, m2 <= 4, u <= 3, all lambda,
-# capped at p^K <= 5^6 message pairs
+# the verification sweep, `verify --sweep ""`: p in {3,5}, m1 <= 3, m2 <= 4,
+# u <= 3, all lambda, capped at p^K <= 5^6 message pairs
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def sweep_specs() -> tuple[CodeSpec, ...]:
-    out = []
-    for p in (3, 5):
-        for m1 in (1, 2, 3):
-            for m2 in (1, 2, 3, 4):
-                if p ** (m1 + m2) > 5**6:
-                    continue
-                for u in (1, 2, 3):
-                    for lam in range(p):
-                        for punct in (False, True):
-                            out.append(CodeSpec(p, m1, m2, u, lam, punct))
-    return tuple(out)
+    return tuple(parse_sweep(""))
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,11 @@
 """CLI behaviour: exit codes, JSON schema and round-trip, budget plumbing."""
 
 import dataclasses
+import hashlib
+import io
 import json
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -360,10 +364,15 @@ def test_text_sweep_prints_we_lines_only_for_a_single_spec(capsys, monkeypatch):
     assert [line.startswith("WE:") for line in out.splitlines()] == [False, True]
 
 
+def _zero_timing(text):
+    """text with every report's `timing_ms`, the one value that changes from run to run, set to 0."""
+    return re.sub(r'"timing_ms": [0-9]+', '"timing_ms": 0', text)
+
+
 def test_default_sweep_is_the_acceptance_sweep_and_verifies(capsys):
     from conftest import sweep_specs
 
-    assert tuple(parse_sweep("")) == sweep_specs()
+    assert len(sweep_specs()) == 546
     code, out, _ = run(capsys, "verify", "--sweep", "", "--budget", "0", "--format", "json")
     assert code == 0
     reports = json.loads(out)
@@ -371,6 +380,33 @@ def test_default_sweep_is_the_acceptance_sweep_and_verifies(capsys):
     for rep in reports:
         assert all(v for v in rep["match"].values() if v is not None)
     assert out == json.dumps(reports, indent=2) + "\n"
+    # the bytes of every report, measured and predicted, pinned as they were first verified
+    digest = hashlib.sha256(_zero_timing(out).encode()).hexdigest()
+    assert digest == "ce5582ee96d2786ca21fd14fd1c19a9eaa17b4f228a54111cd62e686f53748e6"
+
+
+def test_json_is_written_in_bounded_pieces(monkeypatch):
+    # CPython writes at most 0x7ffff000 bytes in one call and drops the rest with no error,
+    # so the output goes out in pieces; here a stdout that refuses any write over 64 characters
+    class Narrow(io.StringIO):
+        def write(self, text):
+            if len(text) > 64:
+                raise AssertionError(f"a write of {len(text)} characters")
+            return super().write(text)
+
+    monkeypatch.setattr(cli, "_PIECE", 64)
+    sweep = "p=3;m1=1;m2=1-2;u=1"
+    specs = parse_sweep(sweep)
+    for argv, want in ((["--sweep", sweep], [cli.run_report(s, None)[0] for s in specs]),
+                       (["--p", "3", "--m1", "2", "--m2", "2", "--u", "1", "--lambda", "0"],
+                        cli.run_report(codes.CodeSpec(3, 2, 2, 1, 0), None)[0])):
+        monkeypatch.setattr(sys, "stdout", Narrow())
+        assert main(["verify", *argv, "--budget", "0", "--format", "json"]) == 0
+        assert _zero_timing(sys.stdout.getvalue()) == _zero_timing(json_text(want)) + "\n"
+    # a sweep refused by the budget part way through prints nothing
+    monkeypatch.setattr(sys, "stdout", Narrow())
+    assert main(["verify", "--sweep", "p=3;m1=1-2;m2=1;u=1", "--budget", "300", "--format", "json"]) == 3
+    assert sys.stdout.getvalue() == ""
 
 
 @pytest.mark.parametrize(

@@ -388,11 +388,17 @@ def test_array_tables_match_element_arithmetic(p, m, modulus):
         assert f.power_table(2)[x.index] == (x * x).index
         for e in exponents:
             assert f.power_table(e)[x.index] == (x**e).index, e
+        for u in (0, 1, m, m + 1, 10**12 * m + 1):
+            # Tr(x^{p^u + 1}), Tr(x^2) at u = 0; p^u is out of reach at the largest u,
+            # where x^{p^u} is the element's Frobenius iterate
+            power = x ** (p**u + 1) if u <= m + 1 else x.frobenius_iterate(u) * x
+            assert f.quadratic_trace(u)[x.index] == power.trace(), u
         assert f.eta_table()[x.index] == x.eta()
         assert f.trace_of_products()[x.index, y.index] == (x * y).trace()
         assert f.trace_forms([x.index])[0, y.index] == (x * y).trace()
         assert tuple(f.mulmod(x.coeffs, y.coeffs)) == (x * y).coeffs
     assert f.power_table(0)[0] == 1  # 0^0 = 1
+    assert f.quadratic_trace(1).dtype == np.int16
     if f.q <= 125:
         assert (f.mul_table() == [[(x * y).index for y in f.elements()] for x in f.elements()]).all()
         keys = [f.coeffs_of(int(i)) for i in f.lex_order()]

@@ -195,6 +195,16 @@ def test_column_balance_of_predicted_table():
             assert sums[rho] == n * 3 ** (spec.K - 1)
 
 
+def test_predicted_table_keeps_one_gamma_and_level_table_per_u_mod_m2():
+    # x^{p^m2} = x: u = 1..5 over F_9 read two gamma tables and two level tables
+    for u in range(1, 6):
+        predicted_table(CodeSpec(3, 1, 2, u, 1))
+    f9 = CodeSpec(3, 1, 2, 1, 1).field2
+    keys = [k for k in f9._caches if isinstance(k, tuple)]
+    assert sorted(k for k in keys if k[0] == "gamma") == [("gamma", 0), ("gamma", 1)]
+    assert sorted(k for k in keys if k[0] == "quadratic_trace") == [("quadratic_trace", 0), ("quadratic_trace", 1)]
+
+
 def test_predicted_table_matches_measured_spot():
     # (3, 6, 5, 1, 1) has n = 59 292 > 2^15: a table narrower than int32 would wrap there
     for spec in (CodeSpec(3, 2, 2, 1, 0), CodeSpec(3, 1, 4, 1, 1), CodeSpec(5, 1, 2, 1, 3), CodeSpec(3, 6, 5, 1, 1)):
