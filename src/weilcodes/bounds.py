@@ -11,7 +11,9 @@ def griesmer(p: int, k: int, d: int) -> int:
         raise ValueError("need p >= 2, k >= 1 and d >= 1")
     total = 0
     q = 1
-    for _ in range(k):
+    for i in range(k):
+        if q >= d:  # every term from here on is 1
+            return total + k - i
         total += -(-d // q)
         q *= p
     return total

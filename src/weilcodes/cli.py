@@ -597,13 +597,22 @@ def main(argv=None) -> int:
     if args.command == "verify" and args.sweep is None and None in (args.p, args.m1, args.m2, args.u, args.lam):
         parser.error("verify needs --p --m1 --m2 --u --lambda (or --sweep)")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that has gone shows here, not in the interpreter's last flush
+        return code
     except _ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # stdout was closed (`| head`): what is still buffered goes to os.devnull, and the exit
+        # code is the shell's for a death by SIGPIPE, 128 + 13, not 1, which means a mismatch
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -142,7 +142,7 @@ def build_defining_set(spec: CodeSpec) -> DefiningSet:
         # c (x, y) must keep the level set: every c != 0 for lambda = 0, else only +-1.  The
         # lex-least of the c x leads with the least of the c lead(x): 1, or lead(x) <= (p - 1)/2
         top = 1 if lam == 0 else (p - 1) // 2
-        keep_x, keep_y = f1.leading()[0] <= top, f2.leading()[0] <= top
+        keep_x, keep_y = f1.leading() <= top, f2.leading() <= top
     else:
         keep_x, keep_y = np.ones(f1.q, dtype=bool), np.ones(f2.q, dtype=bool)
     keep_x[0] = keep_y[0] = False  # x = 0 has a block of its own, where y = 0 is the origin
@@ -261,102 +261,95 @@ def _grouped_histograms(ds: DefiningSet, budget: int | None):
     return spent, _group_rows(hist_a), _group_rows(hist_b)
 
 
-def _scaling_orbits(f: FiniteField, inv: np.ndarray, n_rows: int):
-    """(reps, rep_of, scale): the rows to pair, and how every row follows from them.
+def _row_multiples(f: FiniteField, inv: np.ndarray, n_rows: int):
+    """(first, multiple): one element of each histogram row, and [d, i] = the row of d x for x in row i.
 
-    For an element x of row i, with x = d u and u leading with 1
-    (`FiniteField.leading`), scale[i] = d and row i is that of d u, where u
-    lies in row reps[rep_of[i]].  The rows in reps are marked in a mask and
-    numbered by its running count, not by np.unique, whose first call in a
-    process maps close to 1 MB more.
+    A row counts Tr(x z) = t per (class, t) bin, and Tr(d x z) = d Tr(x z),
+    so the row of d x is that of x with its t axis scaled by 1 / d: it
+    follows from the row of x, and for d != 0 it maps the rows one to one.
     """
-    lead, unit = f.leading()
-    first = np.empty(n_rows, dtype=np.int64)  # one element of each row
+    first = np.empty(n_rows, dtype=np.int64)
     first[inv] = np.arange(len(inv))
-    rep_row = inv[unit[first]]
-    is_rep = np.zeros(n_rows, dtype=bool)
-    is_rep[rep_row] = True
-    return np.flatnonzero(is_rep), (np.cumsum(is_rep) - 1)[rep_row], lead[first].astype(np.int64)
+    return first, inv[f.indices_of(mod_p(np.arange(f.p)[:, None, None] * f.digits()[first], f.p))]
 
 
 def _class_tally(ds: DefiningSet, budget: int | None = None):
-    """(counts, inv, scale, inv_other, b_scaled): the tally on histogram rows, labelled by scaling orbit.
+    """(counts, inv_a, inv_b): the tally on histogram rows, and the row of each element of F_{q1} and of F_{q2}.
 
-    The scaled side, B when b_scaled and else A, has the more distinct
-    histogram rows (`_grouped_histograms`); inv and inv_other give the row of
-    each element of it and of the other side.  counts[i, j, r] counts the
-    coordinates equal to r in the codeword of (x, scale[i] y), read as (a, b),
-    or (b, a) when b_scaled, for x in row i of the scaled side, y in row j.
+    counts[i, j, r] counts the coordinates equal to r in the codeword of
+    every (a, b) with a in A row i and b in B row j (`_grouped_histograms`).
 
     N[a, b, r] = sum_c sum_t A_c[a, t] B_c[b, r - t mod p] for any disjoint
-    blocks.  By linearity N[d a, b, r] = N[a, b / d, r / d] for d in F_p*,
-    and b -> b / d permutes the distinct B rows (it scales their t axis by d)
-    and keeps each row's size.  So with x = d_i u, u leading with 1
-    (`_scaling_orbits`), row (i, j) is symbol r / d_i of the pair (rep_of[i],
-    j): only the rows of elements leading with 1 are paired (the same holds
-    with A and B swapped), over the kept bins alone, the (class, t) bins
-    c p + t nonzero in some such row, so a thin class side costs its members,
-    not p.  One loop over blocks of other rows pairs each block, its rows
-    shifted by every t times the kept columns of the orbit rows as one
-    float64 matmul, then reads every row's symbols r / d_i from it.  The
-    product is exact: every term and partial sum is a non-negative integer
-    at most sum_c |X_c| |Y_c| = n < 2^53.  A block holds at most
-    `_PAIR_BLOCK` shifted entries, products and counts written.  Every
-    gathered row must sum to n; one that does not raises AssertionError, as
-    n >= 2^53 does.
+    blocks.  By linearity N[d x, y, r] = N[x, y / d, r / d] for d in F_p*.
+    The side with the more distinct rows is the scaled side: with x = d_i u
+    there, u leading with 1 (`FiniteField.leading`), only the rows of such u
+    are paired (`_row_multiples`), over the kept bins alone, the (class, t)
+    bins c p + t nonzero in some such row, so a thin class side costs its
+    members, not p.  One loop over blocks of other rows pairs each block,
+    its rows shifted by every t times the kept columns of the paired rows as
+    one float64 matmul.  Row (u's row, y's row) then gives, read at symbols
+    r / d_i, row (i, row of d_i y) with the sides in (A, B) order: each block
+    is written through one flat index.  The product is exact: every term and
+    partial sum is a non-negative integer at most sum_c |X_c| |Y_c| = n <
+    2^53.  A block holds at most `_PAIR_BLOCK` shifted entries, products and
+    counts written.  Every row must sum to n; one that does not raises
+    AssertionError, as n >= 2^53 does.
 
     The budget charges the scan and the histograms, then, once, before any
-    pair is formed, the rows x other rows x p counts written plus the orbit
+    pair is formed, the rows x other rows x p counts written plus the paired
     rows x kept bins x other rows x p multiply-adds.
     """
-    p = ds.spec.p
+    spec = ds.spec
+    p = spec.p
     if len(ds) >= 1 << 53:
         raise AssertionError("n is too large for an exact float64 tally")
     spent, side_a, side_b = _grouped_histograms(ds, budget)
     b_scaled = len(side_b[0]) > len(side_a[0])
-    (rows, inv), (other, inv_other) = (side_b, side_a) if b_scaled else (side_a, side_b)
-    reps, rep_of, scale = _scaling_orbits(ds.spec.field2 if b_scaled else ds.spec.field1, inv, len(rows))
+    sides = (spec.field1, *side_a), (spec.field2, *side_b)
+    (f, rows, inv), (f_other, other, inv_other) = sides[::-1] if b_scaled else sides
+    first, multiple = _row_multiples(f, inv, len(rows))
+    scale = f.leading()[first]
+    inverse = np.array([0] + [pow(d, -1, p) for d in range(1, p)], dtype=np.int64)
+    paired_row = multiple[inverse[scale], np.arange(len(rows))]  # the row of x / lead(x)
+    reps = np.flatnonzero(np.bincount(paired_row, minlength=len(rows)))
+    rep_of = np.searchsorted(reps, paired_row)
     bins = np.flatnonzero(rows[reps].sum(axis=0))  # the entries are counts, so a zero sum is an empty bin
     check_budget(spent + len(rows) * len(other) * p + len(reps) * len(bins) * len(other) * p, budget)
+    lands = _row_multiples(f_other, inv_other, len(other))[1][scale]  # [i, j]: the row of d_i y for y in row j
+    i = np.arange(len(rows))[:, None]
+    flat = (lands * len(rows) + i if b_scaled else i * len(other) + lands).T  # [j, i]: where pair (i, j) is written
     c, t = np.divmod(bins, p)
     src = c * p + (np.arange(p)[:, None] - t) % p  # shifted[j, r, l] = other[j, src[r, l]]
     weights = rows[reps][:, bins].T.astype(np.float64)
     other = other.astype(np.float64)
-    inverse = np.array([0] + [pow(d, -1, p) for d in range(1, p)], dtype=np.int64)
     r_of = inverse[scale][:, None] * np.arange(p) % p  # [i, r]: the symbol r / d_i
-    counts = np.empty((len(rows), len(other), p), dtype=np.int64)
+    counts = np.empty((len(rows) * len(other), p), dtype=np.int64)
     step = max(1, _PAIR_BLOCK // (p * max(len(bins), len(rows))))
     for lo in range(0, len(other), step):
         shifted = other[lo:lo + step, src]  # (block, p, kept)
         paired = (shifted.reshape(len(shifted) * p, -1) @ weights).reshape(-1, p, len(reps))
-        counts[:, lo:lo + step] = paired[:, r_of, rep_of[:, None]].transpose(1, 0, 2)
-    if (counts.sum(axis=2) != len(ds)).any():
+        counts[flat[lo:lo + step]] = paired[:, r_of, rep_of[:, None]]
+    if (counts.sum(axis=1) != len(ds)).any():
         raise AssertionError("a gathered composition does not sum to n")
-    return counts, inv, scale, inv_other, b_scaled
+    return counts.reshape(len(side_a[0]), len(side_b[0]), p), side_a[1], side_b[1]
 
 
 def symbol_count_table(ds: DefiningSet, budget: int | None = DEFAULT_BUDGET) -> np.ndarray:
     """(q1, q2, p) `TABLE_DTYPE` tally: entry [a, b, r] counts coordinates of codeword (a, b) equal to r.
 
-    It reads `_class_tally` at every message pair: with x in row i of the
-    scaled side and y on the other, (x, y) is row (i, row of y / scale[i]),
-    taken as (b, a) when B is the scaled side; the rows of y / d are mapped
-    one d at a time.  The tally's rows are cast to int32 before the gather,
-    so no int64 array of the table's size is built; n >= 2^31 is refused
-    (`check_table_length`) before anything is.  The budget charges the
-    q1 q2 p entries of the table, a lower bound, before the tally's own
-    charge, which is the measurement's.
+    The table is the tally (`_class_tally`) read at (row of a, row of b).
+    Its rows are cast to int32 before the gather, so no int64 array of the
+    table's size is built; n >= 2^31 is refused (`check_table_length`)
+    before anything is.  The budget charges the q1 q2 p entries of the
+    table, a lower bound, before the tally's own charge, which is the
+    measurement's.
     """
     spec = ds.spec
-    p = spec.p
     check_table_length(len(ds))
-    check_budget(spec.field1.q * spec.field2.q * p, budget, at_least=True)
-    counts, inv, scale, inv_other, b_scaled = _class_tally(ds, budget)
+    check_budget(spec.field1.q * spec.field2.q * spec.p, budget, at_least=True)
+    counts, inv_a, inv_b = _class_tally(ds, budget)
     counts = counts.astype(TABLE_DTYPE)
-    f = spec.field1 if b_scaled else spec.field2  # the other side's field
-    rows_of_y = np.stack([inv_other[f.indices_of(mod_p(f.digits() * np.int64(pow(d, -1, p)), p))]
-                          for d in range(1, p)])[scale[inv] - 1]  # [x, y]: the row of y / scale of x's row
-    return counts[inv[None, :], rows_of_y.T] if b_scaled else counts[inv[:, None], rows_of_y]
+    return counts[inv_a[:, None], inv_b[None, :]]
 
 
 @dataclass
@@ -398,8 +391,8 @@ def complete_weight_enumerator(
 ) -> EnumerationResult:
     """Tally the composition vector of every codeword; project to the weight enumerator.
 
-    Row (i, j) of the labelled orbit tally (`_class_tally`, whose budget this
-    is) holds |scaled-side row i| |other row j| codewords.  Equal rows are
+    Row (i, j) of the class tally (`_class_tally`, whose budget this is)
+    holds |A row i| |B row j| codewords.  Equal rows are
     sorted into runs (`_sorted_groups`) and each run's weights summed in
     int64: `comps` (lexicographic order) and `freq`.  The WE and the dimension
     come from their zero-symbol column, summed per run of equal zeros first
@@ -408,12 +401,12 @@ def complete_weight_enumerator(
     spec = ds.spec
     p = spec.p
     n = len(ds)
-    counts, inv, _, inv_other, _ = _class_tally(ds, budget)
+    counts, inv_a, inv_b = _class_tally(ds, budget)
     all_rows = counts.reshape(-1, p)
     order, cut = _sorted_groups(all_rows)
     starts = np.flatnonzero(cut)
     comps = all_rows[order[starts]]
-    sizes = np.bincount(inv, minlength=len(counts)), np.bincount(inv_other, minlength=counts.shape[1])
+    sizes = np.bincount(inv_a, minlength=counts.shape[0]), np.bincount(inv_b, minlength=counts.shape[1])
     freq = np.add.reduceat(np.outer(*sizes).ravel()[order], starts)
     # column 0 is non-decreasing in lexicographic order: one entry per run of equal zeros
     zeros = comps[:, 0]

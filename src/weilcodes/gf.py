@@ -415,21 +415,18 @@ class FiniteField:
                     acc += wrap[:, yk, :, p - s : 2 * p - s]
         return hist.reshape(q, n_classes * p)
 
-    def leading(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lead, unit): x = lead[x] unit[x] for every index x, with unit[x] leading with 1.
+    def leading(self) -> np.ndarray:
+        """lead[x]: the first nonzero coefficient of x, low degree first (1 for x = 0), for every index x.
 
-        lead[x] is the first nonzero coefficient of x, low degree first (1 for
-        x = 0), and unit[x] the index of x / lead[x].  So unit[x] is the
-        element of the scaling orbit F_p* x whose first nonzero coefficient is
-        1, and x and c x share it for every c in F_p*.
+        x / lead[x] leads with 1: it is the element of the scaling orbit
+        F_p* x whose first nonzero coefficient is 1.
         """
 
         def build():
             d = self.digits()
             lead = d[np.arange(self.q), (d != 0).argmax(axis=1)]
             lead[0] = 1
-            inverse = np.array([0] + [pow(c, -1, self.p) for c in range(1, self.p)], dtype=np.int64)
-            return lead, self.indices_of(mod_p(d * inverse[lead][:, None], self.p))
+            return lead
 
         return self.cached("leading", build)
 

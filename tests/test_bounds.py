@@ -1,5 +1,7 @@
 """Griesmer sums, optimality labels, Pless moments."""
 
+import time
+
 import pytest
 
 from weilcodes.bounds import classify, griesmer, pless_check
@@ -16,6 +18,20 @@ def test_griesmer_sums():
             griesmer(p, 2, 1)
     with pytest.raises(ValueError):
         classify(3, -5, 2, 1)
+
+
+def test_griesmer_equals_the_plain_sum():
+    # the terms are 1 from the first p^i >= d on, which the sum adds at once
+    for p in (2, 3, 5, 131):
+        for k in range(1, 41):
+            for d in range(1, 301):
+                assert griesmer(p, k, d) == sum(-(-d // p**i) for i in range(k)), (p, k, d)
+
+
+def test_griesmer_takes_a_huge_k_at_once():
+    start = time.perf_counter()
+    assert classify(3, 20, 10**9, 12).g_of_d == 10**9 + 15  # 12 + 4 + 2 + 1, then 10^9 - 4 ones
+    assert time.perf_counter() - start < 1
 
 
 def test_griesmer_monotone_and_weight_one():

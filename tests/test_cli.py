@@ -4,8 +4,11 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,6 +386,19 @@ def test_default_sweep_is_the_acceptance_sweep_and_verifies(capsys):
     # the bytes of every report, measured and predicted, pinned as they were first verified
     digest = hashlib.sha256(_zero_timing(out).encode()).hexdigest()
     assert digest == "ce5582ee96d2786ca21fd14fd1c19a9eaa17b4f228a54111cd62e686f53748e6"
+
+
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr():
+    # the reader of the JSON sweep (several MB) takes one line and goes: the next write meets
+    # EPIPE, which exits 128 + SIGPIPE as a shell reads it, not 1 (a mismatch), and no traceback
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = [sys.executable, "-m", "weilcodes.cli", "verify", "--sweep", "", "--format", "json", "--budget", "0"]
+    proc = subprocess.Popen(argv, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=300) == 141
 
 
 def test_json_is_written_in_bounded_pieces(monkeypatch):

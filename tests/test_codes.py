@@ -402,15 +402,14 @@ def _reference_tally(ds):
 
 
 def _assert_tally_is_the_reference(ds):
-    # the labelled orbit tally, read at every message pair, against the all-rows tensordot read
-    # the same way: codeword by codeword, not only as a multiset
+    # the class tally against the all-rows tensordot, array for array, and the table read from it
+    # at every message pair: codeword by codeword, not only as a multiset
     counts, inv_a, inv_b = _reference_tally(ds)
+    for got, want in zip(_class_tally(ds), (counts, inv_a, inv_b)):
+        assert got.dtype == want.dtype and np.array_equal(got, want), ds.spec
     table = symbol_count_table(ds)
     assert table.dtype == np.int32 and table.flags.c_contiguous, ds.spec
     assert np.array_equal(table, counts[inv_a[:, None], inv_b[None, :]]), ds.spec
-    _, inv, _, inv_other, b_scaled = _class_tally(ds)
-    for g, w in zip((inv_other, inv) if b_scaled else (inv, inv_other), (inv_a, inv_b)):
-        assert np.array_equal(g, w), ds.spec
 
 
 def _reference_cwe(ds):
@@ -637,8 +636,8 @@ _PUNCTURED_P7_P13 = [CodeSpec(7, 2, 2, 1, 0, True), CodeSpec(7, 2, 2, 1, 3, True
 def test_measured_cwe_equals_a_plain_sum_over_the_class_tally(specs):
     for spec in specs:
         res = enumeration_of(spec)
-        counts, inv, _, inv_other, _ = _class_tally(defining_set_of(spec))
-        n_row, n_other = Counter(inv.tolist()), Counter(inv_other.tolist())
+        counts, inv_a, inv_b = _class_tally(defining_set_of(spec))
+        n_row, n_other = Counter(inv_a.tolist()), Counter(inv_b.tolist())
         cwe, we = Counter(), Counter()
         for (i, row), j in product(enumerate(counts.tolist()), range(counts.shape[1])):
             cwe[tuple(row[j])] += n_row[i] * n_other[j]

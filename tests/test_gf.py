@@ -485,17 +485,17 @@ def test_power_table_refuses_negative_exponent():
 
 @pytest.mark.parametrize("p,m,modulus", [(3, 1, None), (3, 5, None), (5, 3, (2, 0, 3, 1)), (13, 2, None), (131, 1, None)])
 def test_leading_splits_each_element_into_scalar_and_orbit_unit(p, m, modulus):
-    # x = lead(x) unit(x), with lead(x) the first nonzero coefficient (low degree first) and
-    # unit(x) leading with 1; every c x with c != 0 shares the unit
+    # lead(x) is the first nonzero coefficient (low degree first); x / lead(x) leads with 1, and
+    # every c x with c != 0 has the same x / lead(x)
     f = field_create(p, m, modulus)
-    lead, unit = f.leading()
-    assert lead[0] == 1 and unit[0] == 0
+    lead = f.leading()
+    assert lead[0] == 1
     rng = random.Random(f.q)
     for i in rng.sample(range(1, f.q), min(f.q - 1, 300)):
         x = f.from_index(i)
         first = next(c for c in x.coeffs if c)
         assert lead[i] == first
-        assert f.scalar(first) * f.from_index(int(unit[i])) == x
-        assert next(c for c in f.from_index(int(unit[i])).coeffs if c) == 1
-        c = rng.randrange(1, p)
-        assert unit[(f.scalar(c) * x).index] == unit[i]
+        unit = x / f.scalar(int(lead[i]))
+        assert next(c for c in unit.coeffs if c) == 1
+        cx = f.scalar(rng.randrange(1, p)) * x
+        assert cx / f.scalar(int(lead[cx.index])) == unit
