@@ -94,26 +94,6 @@ def _parse_modulus(text, flag):
         raise ValueError(f"--{flag}: {text!r} is not a comma-separated list of integers") from None
 
 
-def spec_from_args(args) -> CodeSpec:
-    """The spec named on the command line; a field given its modulus is built here, so a bad one fails here."""
-    spec = CodeSpec(
-        args.p,
-        args.m1,
-        args.m2,
-        args.u,
-        args.lam,
-        punctured=args.punctured,
-        mod1=_parse_modulus(args.modulus1, "modulus1"),
-        mod2=_parse_modulus(args.modulus2, "modulus2"),
-    )
-    # a default modulus cannot fail, so that field waits for its first use (predict makes none)
-    if spec.mod1 is not None:
-        spec.field1
-    if spec.mod2 is not None:
-        spec.field2
-    return spec
-
-
 class _ArgumentError(Exception):
     """A command-line value the program cannot use (exit code 2)."""
 
@@ -229,6 +209,34 @@ def parse_sweep(text: str) -> list[CodeSpec]:
     if not specs:
         raise ValueError(f"sweep {text!r} selects no specs")
     return list(dict.fromkeys(specs))
+
+
+def specs_from_args(args) -> list[CodeSpec]:
+    """The one spec that the flags name, or the specs of --sweep; a missing or unusable value is an _ArgumentError.
+
+    A field given its modulus is built here, so a bad modulus fails here; a
+    default modulus cannot fail, so that field waits for its first use
+    (predict makes none).
+    """
+    named = (args.p, args.m1, args.m2, args.u, args.lam)
+    sweep = getattr(args, "sweep", None)
+    if sweep is not None:
+        if any(v is not None for v in named + (args.punctured or None, args.modulus1, args.modulus2)):
+            raise _ArgumentError("--sweep names its own specs: give none of --p --m1 --m2 --u --lambda --punctured "
+                                 "--modulus1 --modulus2")
+        with _user_input():
+            return parse_sweep(sweep)
+    missing = [flag for flag, v in zip(("--p", "--m1", "--m2", "--u", "--lambda"), named) if v is None]
+    if missing:
+        raise _ArgumentError(f"missing {' '.join(missing)}" + (" (or --sweep)" if "sweep" in args else ""))
+    with _user_input():
+        spec = CodeSpec(*named, punctured=args.punctured, mod1=_parse_modulus(args.modulus1, "modulus1"),
+                        mod2=_parse_modulus(args.modulus2, "modulus2"))
+        if spec.mod1 is not None:
+            spec.field1
+        if spec.mod2 is not None:
+            spec.field2
+    return [spec]
 
 
 def _scan(spec: CodeSpec, budget) -> DefiningSet:
@@ -359,8 +367,7 @@ def _spec_line(spec: CodeSpec) -> str:
 
 
 def cmd_construct(args) -> int:
-    with _user_input():
-        spec = spec_from_args(args)
+    spec, = specs_from_args(args)
     budget = resolve_budget(args)
     ds = _scan(spec, budget)
     q1, q2 = spec.field1.q, spec.field2.q
@@ -390,8 +397,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    with _user_input():
-        spec = spec_from_args(args)
+    spec, = specs_from_args(args)
     budget = resolve_budget(args)
     res = _measure(spec, budget)
     if args.format == "json":
@@ -416,8 +422,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    with _user_input():
-        spec = spec_from_args(args)
+    spec, = specs_from_args(args)
+    # predict_cwe builds up to p + 2 compositions of p symbols
+    check_budget((spec.p + 2) * spec.p, resolve_budget(args))
     pred = predict_cwe(spec)
     if args.format == "json":
         _emit(json_text(
@@ -445,14 +452,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    specs = specs_from_args(args)
     budget = resolve_budget(args)
     single = args.sweep is None
-    spec_flags = (args.p, args.m1, args.m2, args.u, args.lam, args.punctured or None, args.modulus1, args.modulus2)
-    if not single and any(v is not None for v in spec_flags):
-        raise _ArgumentError("--sweep names its own specs: give none of --p --m1 --m2 --u --lambda --punctured "
-                             "--modulus1 --modulus2")
-    with _user_input():
-        specs = [spec_from_args(args)] if single else parse_sweep(args.sweep)
     pieces = []  # a JSON sweep's text, made per report at once so that its arrays are freed
     all_ok = True
     for spec in specs:
@@ -526,26 +528,21 @@ def cmd_griesmer(args) -> int:
     return 0
 
 
-def _add_spec_args(sub, required=True):
-    """The flags that name one spec; `verify` makes them optional, as --sweep can stand in."""
-    for name in ("p", "m1", "m2", "u"):
-        sub.add_argument(f"--{name}", type=int, required=required)
-    sub.add_argument("--lambda", dest="lam", type=int, required=required,
-                     help="level of the defining set; any integer, reduced mod p")
-    sub.add_argument("--punctured", action="store_true")
-    for name in ("modulus1", "modulus2"):
-        sub.add_argument(f"--{name}", help="comma-separated coefficients, low degree first")
-
-
-def _add_output_args(sub, measures=True):
-    """--format, and for the commands that enumerate a code, its --budget and --config."""
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    if measures:
-        sub.add_argument("--budget", type=int, help="operation budget; 0 = unlimited")
-        sub.add_argument("--config", help="key=value config file (budget=...)")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # the flags shared by several commands, each declared once on a parent parser
+    spec = argparse.ArgumentParser(add_help=False)
+    for name in ("p", "m1", "m2", "u"):
+        spec.add_argument(f"--{name}", type=int)
+    spec.add_argument("--lambda", dest="lam", type=int, help="level of the defining set; any integer, reduced mod p")
+    spec.add_argument("--punctured", action="store_true")
+    for name in ("modulus1", "modulus2"):
+        spec.add_argument(f"--{name}", help="comma-separated coefficients, low degree first")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("text", "json"), default="text")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=int, help="operation budget; 0 = unlimited")
+    budget.add_argument("--config", help="key=value config file (budget=...)")
+
     parser = argparse.ArgumentParser(
         prog="weilcodes",
         description="Construct trace-defined p-ary codes, enumerate and predict their "
@@ -553,49 +550,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("construct", help="build the defining set")
-    _add_spec_args(sub)
-    _add_output_args(sub)
+    sub = subs.add_parser("construct", parents=[spec, output, budget], help="build the defining set")
     sub.add_argument("--dump", action="store_true", help="emit one line per codeword")
     sub.set_defaults(func=cmd_construct)
-
-    sub = subs.add_parser("enumerate", help="brute-force weight enumerators")
-    _add_spec_args(sub)
-    _add_output_args(sub)
+    sub = subs.add_parser("enumerate", parents=[spec, output, budget], help="brute-force weight enumerators")
     sub.set_defaults(func=cmd_enumerate)
-
-    sub = subs.add_parser("predict", help="closed-form weight enumerators")
-    _add_spec_args(sub)
-    _add_output_args(sub, measures=False)
+    sub = subs.add_parser("predict", parents=[spec, output], help="closed-form weight enumerators")
     sub.set_defaults(func=cmd_predict)
-
-    sub = subs.add_parser("verify", help="measured vs predicted comparison")
-    _add_spec_args(sub, required=False)
+    sub = subs.add_parser("verify", parents=[spec, output, budget], help="measured vs predicted comparison")
     sub.add_argument("--sweep", help="range spec, e.g. 'p=3;m1=1-2;m2=1-3;u=1-2;lambda=all'")
-    _add_output_args(sub)
     sub.set_defaults(func=cmd_verify)
-
-    sub = subs.add_parser("tables", help="recompute the example tables")
+    sub = subs.add_parser("tables", parents=[output, budget], help="recompute the example tables")
     sub.add_argument("--which", choices=("12", "12p", "13", "13p"), required=True)
-    _add_output_args(sub)
     sub.set_defaults(func=cmd_tables)
-
-    sub = subs.add_parser("griesmer", help="Griesmer bound classification")
-    sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--d", type=int, required=True)
-    _add_output_args(sub, measures=False)
+    sub = subs.add_parser("griesmer", parents=[output], help="Griesmer bound classification")
+    for name in ("p", "n", "k", "d"):
+        sub.add_argument(f"--{name}", type=int, required=True)
     sub.set_defaults(func=cmd_griesmer)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify" and args.sweep is None and None in (args.p, args.m1, args.m2, args.u, args.lam):
-        parser.error("verify needs --p --m1 --m2 --u --lambda (or --sweep)")
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a reader that has gone shows here, not in the interpreter's last flush

@@ -244,13 +244,10 @@ class FiniteField:
     def __repr__(self):
         return f"FiniteField(p={self.p}, m={self.m})"
 
-    def cached(self, key, build=None):
-        """Derived data of this field: build() on the first use of key, then kept with the field.
-
-        Without build, a lookup alone: the data kept under key, or None.
-        """
+    def cached(self, key, build):
+        """Derived data of this field: build() on the first use of key, then kept with the field."""
         val = self._caches.get(key)
-        if val is None and build is not None:
+        if val is None:
             val = self._caches[key] = build()
         return val
 

@@ -187,12 +187,8 @@ def test_weil_closed_spec_values():
     assert zero_hits == 81 - 9  # unsolvable branch for 72 of 81 shifts
 
 
-@pytest.mark.parametrize(
-    "p,m,modulus",
-    [pytest.param(p, m, None, id=f"{p}-{m}-us{i}")
-     for i, (p, m) in enumerate([(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3)])]
-    + BIG_PARAMS,
-)
+# the fields up to 5^3, every a != 0 and every b, are criterion 4's in tests/test_acceptance.py
+@pytest.mark.parametrize("p,m,modulus", BIG_PARAMS)
 def test_weil_closed_equals_brute_everywhere(p, m, modulus):
     field = field_create(p, m, modulus)
     for u in (1, 2, 3):

@@ -79,9 +79,7 @@ def test_argument_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["tables", "--which", "14"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--p", "3"])
-    assert exc.value.code == 2
+    assert main(["verify", "--p", "3"]) == 2
 
 
 @pytest.mark.parametrize(
@@ -104,11 +102,16 @@ def test_argument_errors_exit_2(capsys):
         ["verify", "--sweep", "p=3;m1=1;m2=1;u=1", "--modulus1", "1,0,2"],
         ["predict", "--p", "3", "--m1", "2", "--m2", "2", "--u", "1", "--lambda", "0", "--modulus2", "2,0,1"],
         ["verify", "--p", "3", "--m1", "2", "--m2", "2", "--u", "1", "--lambda", "0", "--modulus1", "a,b,c"],
+        ["construct", "--p", "3"],
+        ["enumerate", "--p", "3", "--m1", "2", "--m2", "2", "--u", "1"],
+        ["predict", "--m1", "2", "--m2", "2", "--u", "1", "--lambda", "0"],
+        ["verify", "--p", "3", "--m1", "2", "--m2", "2", "--lambda", "0", "--punctured"],
     ],
     ids=["p-composite", "m1-zero", "modulus-not-monic", "sweep-unknown-key", "sweep-empty",
          "sweep-selects-none", "griesmer-k-zero", "griesmer-p-zero", "griesmer-p-one", "griesmer-n-negative",
          "modulus1-empty", "modulus2-empty", "sweep-with-p", "sweep-with-modulus1", "predict-reducible-modulus2",
-         "modulus1-not-integers"],
+         "modulus1-not-integers", "construct-missing-flags", "enumerate-missing-lambda", "predict-missing-p",
+         "verify-missing-u"],
 )
 def test_bad_values_exit_2_with_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -270,6 +273,21 @@ def test_predict_takes_no_budget(capsys):
         main(["predict", "--p", "3", "--m1", "1", "--m2", "1", "--u", "1", "--lambda", "0",
               "--budget", "0"])
     assert exc.value.code == 2
+
+
+def test_predict_is_charged_to_the_budget(capsys, monkeypatch):
+    # (p + 2) * p compositions' entries: 3165 * 3163 is over the default 10^7, refused before any is built
+    monkeypatch.delenv("WEILCODES_BUDGET", raising=False)
+    code, out, err = run(capsys, "predict", "--p", "3163", "--m1", "1", "--m2", "1", "--u", "1", "--lambda", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # the budget comes from the environment, as predict takes no --budget: 5 * 3 = 15 entries at p = 3
+    argv = ["predict", "--p", "3", "--m1", "1", "--m2", "1", "--u", "1", "--lambda", "1"]
+    monkeypatch.setenv("WEILCODES_BUDGET", "14")
+    assert run(capsys, *argv)[0] == 3
+    monkeypatch.setenv("WEILCODES_BUDGET", "15")
+    assert run(capsys, *argv)[0] == 0
 
 
 def test_tables_catch_a_wrong_predicted_cwe(capsys, monkeypatch):
