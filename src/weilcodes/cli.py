@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
+import tempfile
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -349,8 +351,9 @@ _ONLY_INT = frozenset((int,))
 
 
 # characters per write: CPython writes at most 0x7ffff000 bytes in one call and drops the rest
-# with no error; the JSON is ASCII, one byte per character
-_PIECE = 1 << 30
+# with no error; the JSON is ASCII, one byte per character.  A piece is also what a JSON sweep
+# reads back from its temporary file at a time, so it is small
+_PIECE = 1 << 20
 
 
 def _emit(*texts):
@@ -424,7 +427,7 @@ def cmd_enumerate(args) -> int:
 def cmd_predict(args) -> int:
     spec, = specs_from_args(args)
     # predict_cwe builds up to p + 2 compositions of p symbols
-    check_budget((spec.p + 2) * spec.p, resolve_budget(args))
+    check_budget((spec.p + 2) * spec.p, resolve_budget(args), stage="prediction")
     pred = predict_cwe(spec)
     if args.format == "json":
         _emit(json_text(
@@ -455,30 +458,40 @@ def cmd_verify(args) -> int:
     specs = specs_from_args(args)
     budget = resolve_budget(args)
     single = args.sweep is None
-    pieces = []  # a JSON sweep's text, made per report at once so that its arrays are freed
     all_ok = True
-    for spec in specs:
-        report, ok = run_report(spec, budget)
-        all_ok &= ok
+    # a JSON sweep writes each report's text to a temporary file, so that memory holds neither
+    # its arrays nor its text, and copies the file to stdout only when every spec is done: a
+    # budget refusal part way prints nothing (json.dumps escapes every non-ASCII character)
+    json_sweep = args.format == "json" and not single
+    with tempfile.TemporaryFile("w+", encoding="ascii") if json_sweep else nullcontext() as spill:
+        for i, spec in enumerate(specs):
+            report, ok = run_report(spec, budget)
+            all_ok &= ok
+            if args.format == "json":
+                if not single:  # json_text of the report list, item by item
+                    spill.write(",\n  " if i else "[\n  ")
+                    spill.write(json_text(report, "  "))
+            else:
+                n, k, d = _parameters(report)
+                gr = report["griesmer"]
+                label = gr["classification"] if gr else "-"
+                print(
+                    f"{_spec_line(spec)}: [{n},{k},{d}] theorem "
+                    f"{report['predicted']['theorem']} griesmer={label} "
+                    f"match={'yes' if ok else 'NO'} ({report['timing_ms']}ms)"
+                )
+                if single:
+                    print(f"WE: {fmt_we(dict(report['we']))}")
         if args.format == "json":
-            if not single:  # json_text of the report list, item by item
-                pieces += [",\n  " if pieces else "[\n  ", json_text(report, "  ")]
-        else:
-            n, k, d = _parameters(report)
-            gr = report["griesmer"]
-            label = gr["classification"] if gr else "-"
-            print(
-                f"{_spec_line(spec)}: [{n},{k},{d}] theorem "
-                f"{report['predicted']['theorem']} griesmer={label} "
-                f"match={'yes' if ok else 'NO'} ({report['timing_ms']}ms)"
-            )
             if single:
-                print(f"WE: {fmt_we(dict(report['we']))}")
-    if args.format == "json":
-        _emit(*([json_text(report)] if single else pieces + ["\n]"]))
-    elif not single:
-        status = "all match" if all_ok else "MISMATCH"
-        print(f"{len(specs)} specs verified: {status}")
+                _emit(json_text(report))
+            else:
+                spill.write("\n]\n")
+                spill.seek(0)
+                shutil.copyfileobj(spill, sys.stdout, _PIECE)
+        elif not single:
+            status = "all match" if all_ok else "MISMATCH"
+            print(f"{len(specs)} specs verified: {status}")
     return 0 if all_ok else 1
 
 
@@ -571,8 +584,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser of every `main` call in the process, built on the first: argparse makes a fresh
+# Namespace per parse and writes usage and errors to the sys.stdout/sys.stderr of that moment
+_parser = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a reader that has gone shows here, not in the interpreter's last flush

@@ -26,11 +26,11 @@ _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
 class BudgetExceeded(Exception):
-    """Enumeration would exceed the operation budget."""
+    """A job would exceed the operation budget; `stage` names the charged work in the message."""
 
-    def __init__(self, required, budget, at_least=False):
+    def __init__(self, required, budget, at_least=False, stage="enumeration"):
         needs = f"at least {required}" if at_least else required
-        super().__init__(f"enumeration needs {needs} operations, budget is {budget}")
+        super().__init__(f"{stage} needs {needs} operations, budget is {budget}")
         self.required = required
         self.budget = budget
 
@@ -211,13 +211,13 @@ def _group_rows(rows: np.ndarray):
     return rows[order[cut]], inv
 
 
-def check_budget(required: int, budget: int | None, at_least: bool = False) -> None:
+def check_budget(required: int, budget: int | None, at_least: bool = False, stage: str = "enumeration") -> None:
     """Refuse (BudgetExceeded) a job of `required` operations above the budget; None is unlimited.
 
     at_least marks a lower bound, charged before the rest of the cost is known.
     """
     if budget is not None and required > budget:
-        raise BudgetExceeded(required, budget, at_least)
+        raise BudgetExceeded(required, budget, at_least, stage)
 
 
 def check_table_length(n: int) -> None:

@@ -281,7 +281,7 @@ def test_predict_is_charged_to_the_budget(capsys, monkeypatch):
     code, out, err = run(capsys, "predict", "--p", "3163", "--m1", "1", "--m2", "1", "--u", "1", "--lambda", "1")
     assert code == 3
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == f"error: prediction needs 10010895 operations, budget is {codes.DEFAULT_BUDGET}\n"
     # the budget comes from the environment, as predict takes no --budget: 5 * 3 = 15 entries at p = 3
     argv = ["predict", "--p", "3", "--m1", "1", "--m2", "1", "--u", "1", "--lambda", "1"]
     monkeypatch.setenv("WEILCODES_BUDGET", "14")
@@ -406,17 +406,76 @@ def test_default_sweep_is_the_acceptance_sweep_and_verifies(capsys):
     assert digest == "ce5582ee96d2786ca21fd14fd1c19a9eaa17b4f228a54111cd62e686f53748e6"
 
 
+def _cli_process(*argv):
+    """`python -m weilcodes.cli argv` in a new interpreter, importing this checkout's package."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    cmd = [sys.executable, "-m", "weilcodes.cli", *argv]
+    return subprocess.Popen(cmd, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+
 def test_a_closed_stdout_exits_141_with_nothing_on_stderr():
     # the reader of the JSON sweep (several MB) takes one line and goes: the next write meets
     # EPIPE, which exits 128 + SIGPIPE as a shell reads it, not 1 (a mismatch), and no traceback
-    src = str(Path(cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    argv = [sys.executable, "-m", "weilcodes.cli", "verify", "--sweep", "", "--format", "json", "--budget", "0"]
-    proc = subprocess.Popen(argv, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc = _cli_process("verify", "--sweep", "", "--format", "json", "--budget", "0")
     assert proc.stdout.readline() == b"[\n"
     proc.stdout.close()
     assert proc.stderr.read() == b""
     assert proc.wait(timeout=300) == 141
+
+
+_LAST = ["verify", "--p", "3", "--m1", "2", "--m2", "2", "--u", "1", "--lambda", "0"]
+
+
+def _settled(text):
+    """text with the timings that change from run to run, `timing_ms` and a text line's `(Nms)`, set to 0."""
+    return re.sub(r"\([0-9]+ms\)", "(0ms)", _zero_timing(text))
+
+
+@pytest.fixture(scope="module")
+def fresh_last():
+    """(exit code, stdout, stderr) of `_LAST` run alone in a new interpreter, timings set to 0."""
+    proc = _cli_process(*_LAST)
+    out, err = proc.communicate(timeout=120)
+    return proc.returncode, _settled(out.decode()), err.decode()
+
+
+@pytest.mark.parametrize(
+    "before,code",
+    [
+        ([*_LAST, "--punctured"], 0),
+        (["verify", "--sweep", "p=3;m1=1;m2=1-2;u=1"], 0),
+        (["verify", "--p", "x", "--m1", "2", "--m2", "2", "--u", "1", "--lambda", "0"], 2),
+        ([*_LAST, "--format", "xml"], 2),
+        (["verify", "-h"], 0),
+        (["-h"], 0),
+        ([*_LAST, "--format", "json"], 0),
+    ],
+    ids=["punctured", "sweep", "bad-int", "bad-choice", "verify-help", "help", "json"],
+)
+def test_a_reused_parser_prints_what_a_fresh_process_prints(capsys, fresh_last, before, code):
+    # main keeps the parser it built on its first call: a call before must leave nothing behind
+    try:
+        got = main(before)
+    except SystemExit as exc:  # argparse's exit on a bad value or -h
+        got = exc.code
+    assert got == code
+    capsys.readouterr()
+    got = main(_LAST)
+    out = capsys.readouterr()
+    assert (got, _settled(out.out), out.err) == fresh_last
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None)
+    for argv in (_LAST, [*_LAST, "--format", "json"], ["griesmer", "--p", "3", "--n", "20", "--k", "4", "--d", "12"]):
+        assert main(argv) == 0
+    with pytest.raises(SystemExit):
+        main(["verify", "--p", "x"])
+    assert len(built) == 1
 
 
 def test_json_is_written_in_bounded_pieces(monkeypatch):
