@@ -87,13 +87,15 @@ class CycInt:
         if isinstance(other, int):
             return CycInt(self.p, [a * other for a in self.coeffs])
         self._check(other)
-        out = [0] * self.p
+        p = self.p
+        # the nonzero terms of other once, so a product with zeta^e costs O(p), not O(p^2)
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
+        out = [0] * p
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[(i + j) % self.p] += a * b
-        return CycInt(self.p, out)
+                for j, b in terms:
+                    out[(i + j) % p] += a * b
+        return CycInt(p, out)
 
     __rmul__ = __mul__
 
@@ -231,6 +233,9 @@ def _weil_dispatch(field: FiniteField, u: int, a: FFElement):
     """Per-(u mod m, a) data for the closed Weil sum, kept with the field: solver and scale.
 
     The sum is scale * zeta^e when the shift equation is solvable, else 0.
+    For m/v even, (p^m - 1)/(p^v + 1) = (p^v - 1) sum_{j < m/2v} p^{2vj}, so
+    a^{(p^m-1)/(p^v+1)} = c^{p^v} / c with c = prod_j a^{p^{2vj}}: the case
+    test is c^{p^v} = (-1)^{s/v} c, Frobenius images and m/2v - 1 products.
     """
     p, m = field.p, field.m
     u %= m
@@ -242,7 +247,8 @@ def _weil_dispatch(field: FiniteField, u: int, a: FFElement):
             return op, gauss_sum_closed(p, m) * a.eta()
         s = m // 2
         sign = (-1) ** (s // v)
-        if a ** ((p**m - 1) // (p**v + 1)) != field.scalar(sign):
+        c = a.frobenius_product(2 * v, m // (2 * v))
+        if c.frobenius_iterate(v) != (c if sign == 1 else -c):
             return op, CycInt.integer(p, sign * p**s)
         return op, CycInt.integer(p, -sign * p ** (s + v))
 
@@ -278,7 +284,12 @@ def quad_sum_closed(field: FiniteField, a: FFElement, b: FFElement) -> CycInt:
 
 
 def restricted_power_check(z: int, field: FiniteField, u: int) -> bool:
-    """Whether z^{(p^m-1)/(p^v+1)} = 1 for the prime-field unit z; needs m/v even."""
+    """Whether z^{(p^m-1)/(p^v+1)} = 1 for the prime-field unit z; needs m/v even.
+
+    It is True for every unit z: with m/v even, p - 1 divides p^v - 1, which
+    divides (p^m - 1)/(p^v + 1) = (p^v - 1) sum_{j < m/2v} p^{2vj}, and
+    z^{p-1} = 1.  So it tells no unit from another.
+    """
     p, m = field.p, field.m
     v = math.gcd(m, u)
     if (m // v) % 2:
@@ -293,15 +304,9 @@ def gamma_table(field: FiniteField, u: int) -> np.ndarray:
     The right-hand side is F_p-linear in b, so one elimination serves every b:
     gamma_b is the designated solution (free coordinates zero) that
     `LinOperator.solve_rows` finds for all the digit rows of -b^{p^u} at
-    once.  The table is kept with the field under u mod m, as x^{p^m} = x.  A
-    call that finds it there returns it after one read of the field's cache
-    dict, with no call of `FiniteField.cached` and nothing else set up, since
-    `gamma_of` calls this once per b.
+    once.  The table is kept with the field under u mod m, as x^{p^m} = x.
     """
     u %= field.m
-    table = field._caches.get(("gamma", u))
-    if table is not None:
-        return table
 
     def build():
         op = linearized_operator(field, field.one(), u)
@@ -313,6 +318,17 @@ def gamma_table(field: FiniteField, u: int) -> np.ndarray:
 
 
 def gamma_of(field: FiniteField, u: int, b: FFElement) -> FFElement | None:
-    """The designated solution of X^{p^{2u}} + X = -b^{p^u} (None when unsolvable)."""
-    gi = gamma_table(field, u).item(b.index)
-    return None if gi < 0 else FFElement(field, None, gi)
+    """The designated solution of X^{p^{2u}} + X = -b^{p^u} (None when unsolvable).
+
+    The first call for a (field, u mod m) turns `gamma_table` into a list of
+    elements (None where unsolvable), kept with the field; each call is then
+    one read of the field's cache dict and one list index.
+    """
+    u %= field.m
+    solutions = field._caches.get(("gamma_of", u))
+    if solutions is None:
+        solutions = field.cached(
+            ("gamma_of", u),
+            lambda: [None if g < 0 else FFElement(field, None, g) for g in gamma_table(field, u).tolist()],
+        )
+    return solutions[b.index]

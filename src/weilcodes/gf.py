@@ -14,16 +14,21 @@ Whole-field work runs on (N, m) arrays of digit rows, at any field size:
   multiplication by X^i (Lidl & Niederreiter, Finite Fields, ch. 2);
 * Tr(xy) is the trace-form Gram matrix G[i, j] = Tr(X^{i+j}), so the table
   of Tr(xy) is D G D^T mod p for the digit array D of all elements;
+* Tr(x^{p^u + 1}) is the quadratic form x F_u G x^T on the digit row x, with
+  F_u the Frobenius matrix of x -> x^{p^u}, so a level table needs no power;
 * the histograms of Tr(a z) over classes of members z, for every a, are a
   Walsh-Hadamard butterfly on the members' rows z G.
 
 A single element (`FFElement`) keeps the index or the coefficients it was
 built from and derives the other on first read, so `from_index` and `.index`
-are O(1).  Its products, powers, inverse, trace and quadratic character work
-on the coefficients with one polynomial kernel in plain Python integers,
-faster than a one-row array product: a product takes each coefficient mod p
-once, from the top degree down; a square adds each cross term once; a power
-is left-to-right square-and-multiply, and a multiply by X shifts the square.
+are O(1).  Its products and powers work on the coefficients with one
+polynomial kernel in plain Python integers, faster than a one-row array
+product: a product takes each coefficient mod p once, from the top degree
+down; a square adds each cross term once; a power is left-to-right
+square-and-multiply, and a multiply by X shifts the square.  Its Frobenius
+images are one product with a Frobenius matrix, its trace one with the trace
+functional, and its inverse and quadratic character go through the norm
+N(x) = prod_k x^{p^k}, so neither raises x to a power.
 The irreducibility test that checks every modulus runs on it.  It is
 Ben-Or's: f of degree m is irreducible iff gcd(X^{p^k} - X, f) = 1 for
 k = 1 .. m // 2.  That is exact, because a reducible f has an irreducible
@@ -126,6 +131,24 @@ def _poly_powmod(base, e, mod, p):
         if bit == "1" and not is_x:
             result = _poly_mulmod(result, base, mod, p)
     return result
+
+
+def _shift_rows(a, mod, p):
+    """Digit rows of X^i a mod f for i < m: the rows of multiplication by a, each a shift and one reduction step."""
+    rows = [a]
+    for _ in range(len(a) - 1):
+        rows.append(_poly_reduce([0, *rows[-1]], mod, p))
+    return rows
+
+
+def _row_times(v, rows):
+    """The row vector v times the matrix given by its rows, in plain integers, not reduced mod p."""
+    out = [0] * len(rows[0])
+    for c, row in zip(v, rows):
+        if c:
+            for j, r in enumerate(row):
+                out[j] += c * r
+    return out
 
 
 def _is_coprime(a, b, p):
@@ -357,13 +380,20 @@ class FiniteField:
 
         return self.cached(("frob", k), build)
 
+    def _frob_rows(self, k: int) -> tuple[tuple[int, ...], ...]:
+        """`frob_matrix(k)` as row tuples, for single elements in plain integers; a kept one costs one cache read."""
+        key = ("frob_rows", k % self.m)
+        rows = self._caches.get(key)
+        if rows is None:
+            rows = self._caches[key] = tuple(map(tuple, self.frob_matrix(k).tolist()))
+        return rows
+
     def _trace_functional(self) -> tuple[int, ...]:
         """Tr(X^i) for i < m: the trace of multiplication by X^i, whose rows are X^{i+j}."""
 
         def build():
-            xk = self._powers_of_x()
-            m = self.m
-            return tuple(int(sum(xk[i + j, j] for j in range(m)) % self.p) for i in range(m))
+            i = np.arange(self.m)
+            return tuple((self._powers_of_x()[i[:, None] + i, i].sum(axis=1) % self.p).tolist())
 
         return self.cached("trace_functional", build)
 
@@ -438,7 +468,12 @@ class FiniteField:
         return self.cached("lex_order", lambda: np.argsort(self.lex_rank(self.digits())))
 
     def trace_table(self) -> np.ndarray:
-        """Tr(x) for every index x (int16)."""
+        """Tr(x) for every index x (int16).
+
+        No library path reads it: a single trace is the trace functional on
+        the coefficients, and the level tables are `quadratic_trace`.  Only
+        the benchmark and the tests build it.
+        """
         return self.cached(
             "trace_vec",
             lambda: mod_p(self.digits() @ np.array(self._trace_functional()), self.p).astype(np.int16),
@@ -468,7 +503,9 @@ class FiniteField:
         (x^{p^k})^{e_k}: each p^k-th power is the digit rows times
         `frob_matrix(k)`, multiplied in e_k times with `mulmod`.  So
         x^{p^u + 1} and x^2 cost one `mulmod` each.  The rows go in blocks,
-        each `mulmod` product holding at most _BLOCK entries.
+        each `mulmod` product holding at most _BLOCK entries.  The exhaustive
+        character sums and `eta_table` read it; the level tables do not
+        (`quadratic_trace`).
         """
         if e < 0:
             raise GFError(f"power_table needs a nonnegative exponent, got {e}")
@@ -498,9 +535,31 @@ class FiniteField:
         return self.cached(("pow", e), build)
 
     def quadratic_trace(self, u: int) -> np.ndarray:
-        """Tr(x^{p^u + 1}) for every index x (int16), Tr(x^2) at u = 0; u counts mod m, as x^{p^m} = x."""
+        """Tr(x^{p^u + 1}) for every index x (int16), Tr(x^2) at u = 0; u counts mod m, as x^{p^m} = x.
+
+        The digit row of x^{p^u} is x F (F = `frob_matrix(u)`) and Tr(y x) is
+        y G x^T (G from `_gram`), so Tr(x^{p^u} x) is the quadratic form
+        x B x^T with B = F G mod p.  Each block of _BLOCK // m digit rows is
+        one product with B and one row sum of its entrywise product with the
+        rows; no element power, power table or trace table is formed.  The
+        block runs in float64, whose matrix product is several times faster
+        than numpy's integer one, and is exact: every value is an integer of
+        at most m^2 (p - 1)^3, below 2^53 for any field whose digit table
+        fits in memory.
+        """
         u %= self.m
-        return self.cached(("quadratic_trace", u), lambda: self.trace_table()[self.power_table(self.p**u + 1)])
+
+        def build():
+            p, digits = self.p, self.digits()
+            form = (self.frob_matrix(u) @ self._gram() % p).astype(np.float64)
+            out = np.empty(self.q, dtype=np.int16)
+            step = max(1, _BLOCK // self.m)
+            for lo in range(0, self.q, step):
+                rows = digits[lo : lo + step].astype(np.float64)
+                out[lo : lo + step] = mod_p(((rows @ form) * rows).sum(axis=1).astype(np.int64), p)
+            return out
+
+        return self.cached(("quadratic_trace", u), build)
 
     def trace_of_products(self) -> np.ndarray:
         """(q, q) table of Tr(x*y), built as D G D^T mod p in row blocks.
@@ -646,14 +705,36 @@ class FFElement:
         return FFElement(f, _poly_powmod(self.coeffs, e, f.modulus, f.p))
 
     def inverse(self) -> "FFElement":
+        """x^{-1} = r / N(x) with r = prod_{k=1}^{m-1} x^{p^k}, as x r = N(x) lies in F_p (Itoh & Tsujii 1988).
+
+        m - 1 products and m - 1 Frobenius images, where the power x^{q-2}
+        would take about 1.5 log2 q products.
+        """
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        return self ** (self.field.q - 2)
+        f = self.field
+        rest = self.frobenius_iterate(1).frobenius_product(1, f.m - 1)
+        scale = pow((self * rest).coeffs[0], -1, f.p)
+        return FFElement(f, tuple([c * scale % f.p for c in rest.coeffs]))
 
     def frobenius_iterate(self, k: int) -> "FFElement":
         """x -> x^{p^k}, k reduced mod m, through the Frobenius matrix."""
         f = self.field
-        return FFElement(f, tuple((np.array(self.coeffs) @ f.frob_matrix(k) % f.p).tolist()))
+        return FFElement(f, tuple([c % f.p for c in _row_times(self.coeffs, f._frob_rows(k))]))
+
+    def frobenius_product(self, k: int, n: int) -> "FFElement":
+        """prod_{j < n} x^{p^{k j}} = x^{sum_j p^{k j}}: n - 1 products, each factor the Frobenius image of the last."""
+        if n == 0:
+            return self.field.one()
+        y = out = self
+        for _ in range(n - 1):
+            y = y.frobenius_iterate(k)
+            out = out * y
+        return out
+
+    def norm(self) -> int:
+        """N(x) = the product of the m conjugates x^{p^k} = x^{(q-1)/(p-1)}, a value in {0, ..., p-1}."""
+        return self.frobenius_product(1, self.field.m).coeffs[0]
 
     def trace(self) -> int:
         """Tr(x) = sum of x^{p^i}, returned as a value in {0, ..., p-1}."""
@@ -661,12 +742,17 @@ class FFElement:
         return sum(c * t for c, t in zip(self.coeffs, f._trace_functional())) % f.p
 
     def eta(self) -> int:
-        """Quadratic character: +1 on nonzero squares, -1 on non-squares, 0 at 0."""
-        if self.is_zero():
+        """Quadratic character: +1 on nonzero squares, -1 on non-squares, 0 at 0.
+
+        eta(x) = x^{(q-1)/2} = N(x)^{(p-1)/2} = eta_p(N(x)), as N(x) is
+        x^{(q-1)/(p-1)} (Lidl & Niederreiter, Finite Fields, Thm 5.2 and
+        section 2.3); N(x) is m - 1 products.
+        """
+        p = self.field.p
+        n = self.norm()
+        if n == 0:
             return 0
-        f = self.field
-        half = self ** ((f.q - 1) // 2)  # Euler's criterion
-        return 1 if half.coeffs == (1,) + (0,) * (f.m - 1) else -1
+        return 1 if pow(n, (p - 1) // 2, p) == 1 else -1
 
     def is_zero(self) -> bool:
         if self._index is not None:
@@ -726,7 +812,7 @@ class LinOperator:
         """
         pivots, transform = self._reduced
         rank = len(pivots)
-        y = np.asarray(rhs, dtype=np.int64) @ transform.T % self.field.p
+        y = mod_p(np.asarray(rhs, dtype=np.int64) @ transform.T, self.field.p)
         out = np.zeros_like(y)
         out[:, pivots] = y[:, :rank]
         return ~y[:, rank:].any(axis=1), out
@@ -736,10 +822,15 @@ def linearized_operator(field: FiniteField, a: FFElement, u: int) -> LinOperator
     """Matrix of X -> a^{p^u} X^{p^{2u}} + a X on the power basis."""
     if a.field != field:
         raise FieldMismatch("a must lie in the given field")
-    # row i is the image of X^i; (X^i)^{p^{2u}} is row i of frob_matrix(2u)
-    rows = field.mulmod(field.frob_matrix(2 * u), a.frobenius_iterate(u).coeffs)
-    rows += field.mulmod(np.eye(field.m, dtype=np.int64), a.coeffs)
-    return LinOperator(field, tuple(map(tuple, mod_p(rows, field.p).T.tolist())))
+    p, mod = field.p, field.modulus
+    # column i is the image of X^i: (X^i)^{p^{2u}} (row i of frob_matrix(2u)) times the rows of
+    # multiplication by a^{p^u}, plus X^i a (row i of multiplication by a)
+    times_fa = _shift_rows(a.frobenius_iterate(u).coeffs, mod, p)
+    images = [
+        [(s + t) % p for s, t in zip(_row_times(row, times_fa), xa)]
+        for row, xa in zip(field._frob_rows(2 * u), _shift_rows(a.coeffs, mod, p))
+    ]
+    return LinOperator(field, tuple(zip(*images)))
 
 
 def _eliminate(rows, p):

@@ -319,7 +319,7 @@ def predicted_table(spec: CodeSpec) -> np.ndarray:
     solvable = tb >= 0
     T = mod_p(ta[:, None] + tb[None, :], p)
     comp_by_t = np.array([_composition(full, True, t) for t in range(p)], dtype=TABLE_DTYPE)
-    out = comp_by_t[T]
+    out = np.take(comp_by_t, T, axis=0)
     if not solvable.all():
         out[:, ~solvable, :] = np.array(_composition(full, False, None), dtype=TABLE_DTYPE)
     out[0, 0] = np.array((n,) + (0,) * (p - 1), dtype=TABLE_DTYPE)

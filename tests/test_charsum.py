@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weilcodes import gf
 from weilcodes.charsum import (
     CycInt,
     GaussScale,
@@ -25,6 +26,7 @@ from weilcodes.charsum import (
     orthogonality_sum,
     quad_sum_bruteforce,
     quad_sum_closed,
+    _weil_dispatch,
     restricted_power_check,
     weil_sum_bruteforce,
     weil_sum_closed,
@@ -234,6 +236,62 @@ def test_restricted_power_check():
         assert restricted_power_check(z, field_create(5, 2), 1)
     with pytest.raises(OddQuotient):
         restricted_power_check(2, field_create(3, 3), 1)
+
+
+# every (p, m, u mod m) with m/v even and q <= 3^8, 5^4 or 7^4
+EVEN_QUOTIENTS = [
+    (p, m, u)
+    for p, m_max in ((3, 8), (5, 4), (7, 4))
+    for m in range(2, m_max + 1, 2)
+    for u in range(1, m)
+    if (m // math.gcd(m, u)) % 2 == 0
+]
+
+
+@pytest.mark.parametrize("p,m,u", EVEN_QUOTIENTS)
+def test_weil_dispatch_case_test_matches_the_restricted_power(p, m, u):
+    # c^{p^v} = (-1)^{s/v} c with c = prod_j a^{p^{2vj}}, against a^{(p^m-1)/(p^v+1)} = (-1)^{s/v};
+    # every unit up to 3^6, 300 of them beyond
+    field = field_create(p, m)
+    q, v, s = field.q, math.gcd(m, u), m // 2
+    sign = (-1) ** (s // v)
+    units = range(1, q) if q <= 729 else random.Random(q + u).sample(range(1, q), 300)
+    for ai in units:
+        a = field.from_index(ai)
+        _, scale = _weil_dispatch(field, u, a)
+        invertible = scale == CycInt.integer(p, sign * p**s)
+        assert invertible == (a ** ((p**m - 1) // (p**v + 1)) != field.scalar(sign)), ai
+        assert invertible != (scale == CycInt.integer(p, -sign * p ** (s + v)))
+
+
+@pytest.mark.parametrize("p,m,u", EVEN_QUOTIENTS)
+def test_restricted_power_check_holds_on_every_unit(p, m, u):
+    # p - 1 divides (p^m - 1)/(p^v + 1) when m/v is even, so every z in F_p* passes
+    field = field_create(p, m)
+    assert all(restricted_power_check(z, field, u) for z in range(1, p))
+
+
+def test_closed_sums_raise_no_element_to_a_power(monkeypatch):
+    # once a field and its Frobenius matrix (one p-th power of X) exist, the closed route forms
+    # no element power: inverses and eta go through the norm, the Weil case test through c^{p^v}
+    cases = []
+    for p, m, modulus in [(3, 1, None), (3, 4, (2, 0, 0, 1, 1)), (3, 6, None), (5, 4, None), (7, 2, None),
+                          (47, 2, (2, 1, 1)), (11, 3, None)]:
+        field = field_create(p, m, modulus)
+        field.frob_matrix(1)
+        rng = random.Random(field.q)
+        for _ in range(12):
+            a, b = field.from_index(rng.randrange(1, field.q)), field.from_index(rng.randrange(field.q))
+            u = rng.randrange(1, 2 * m + 1)
+            cases.append((field, u, a, b, weil_sum_bruteforce(field, u, a, b), quad_sum_bruteforce(field, a, b)))
+
+    def no_power(*args):
+        raise AssertionError("element power on the closed route")
+
+    monkeypatch.setattr(gf, "_poly_powmod", no_power)
+    for field, u, a, b, weil, quad in cases:
+        assert weil_sum_closed(field, u, a, b) == weil
+        assert quad_sum_closed(field, a, b) == quad
 
 
 def test_weil_closed_scalar_a_up_to_3_pow_6():

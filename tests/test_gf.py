@@ -293,6 +293,19 @@ def test_linearized_operator_examples():
     assert op81.kernel_dim() == 2  # p^{2v}-1 = 8 nonzero kernel elements, v=1
 
 
+@pytest.mark.parametrize("p,m,modulus", [(3, 1, None), (3, 4, (2, 0, 0, 1, 1)), (3, 7, None), (7, 3, None), (47, 2, None)])
+def test_linearized_operator_applies_the_map(p, m, modulus):
+    # the matrix against a^{p^u} x^{p^{2u}} + a x in element arithmetic, the powers by square-and-multiply
+    f = field_create(p, m, modulus)
+    rng = random.Random(f.q)
+    for _ in range(10):
+        a, u = f.from_index(rng.randrange(f.q)), rng.randrange(3 * m + 1)
+        op = linearized_operator(f, a, u)
+        for _ in range(5):
+            x = f.from_index(rng.randrange(f.q))
+            assert op.apply(x) == a ** (p ** (u % m)) * x ** (p ** (2 * u % m)) + a * x
+
+
 def test_solve_linear_unique_and_zero():
     f9 = field_create(3, 2)
     op = linearized_operator(f9, f9.one(), 1)  # 2*Id
@@ -429,7 +442,7 @@ def test_scalar_path_matches_array_path(p, m, modulus):
         for e in exponents:
             assert (x**e).index == powers[e][i], (i, e)
         if i:
-            assert x**-1 == x.inverse()
+            assert x.inverse() == x ** (q - 2)
         assert x.trace() == traces[i]
         assert x.eta() == etas[i]
         by_index, by_coeffs = f.from_index(i), f.element(rows[i])
@@ -481,6 +494,73 @@ def test_power_table_memory_is_bounded_by_its_blocks():
 def test_power_table_refuses_negative_exponent():
     with pytest.raises(GFError):
         field_create(3, 2).power_table(-1)
+
+
+# every field up to 3^10, 5^6 and 7^4, 47^2 and 131^2, and custom moduli
+LEVEL_FIELDS = (
+    [(3, m, None) for m in range(1, 11)]
+    + [(5, m, None) for m in range(1, 7)]
+    + [(7, m, None) for m in range(1, 5)]
+    + [(47, 2, None), (131, 2, None), (3, 2, (2, 2, 1)), (3, 4, (2, 0, 0, 1, 1)), (5, 3, (2, 0, 3, 1)),
+       (5, 4, (4, 4, 4, 3, 1)), (47, 2, (2, 1, 1))]
+)
+
+
+@pytest.mark.parametrize("p,m,modulus", LEVEL_FIELDS)
+def test_quadratic_trace_equals_the_trace_of_the_power_table(p, m, modulus):
+    # the digit quadratic form x F_u G x^T against Tr read at x^{p^u + 1} from the power table,
+    # as whole arrays; u counts mod m, so p^u + 1 is formed from u mod m in the reference
+    f = field_create(p, m, modulus)
+    for u in (0, 1, m - 1, m, 10**12 * m + 1):
+        level = f.quadratic_trace(u)
+        assert level.dtype == np.int16
+        assert np.array_equal(level, f.trace_table()[f.power_table(p ** (u % m) + 1)]), u
+
+
+@pytest.mark.parametrize("block", [1, 7, 40])
+def test_quadratic_trace_in_row_blocks_equals_one_block(monkeypatch, block):
+    one_block = {u: gf.FiniteField(5, 3).quadratic_trace(u) for u in range(3)}
+    monkeypatch.setattr(gf, "_BLOCK", block)  # 1, 2 and 13 rows per block at m = 3
+    f = gf.FiniteField(5, 3)
+    for u, table in one_block.items():
+        assert np.array_equal(f.quadratic_trace(u), table), u
+
+
+def test_quadratic_trace_memory_is_bounded_by_its_blocks():
+    # 3^10 with its digit rows built: a 0.12 MB int16 result and blocks of _BLOCK float64 entries;
+    # the whole-field int64 product would take 4.7 MB, the power and trace tables 5.2 MB
+    f = field_create(3, 10)
+    f.digits()
+    tracemalloc.start()
+    try:
+        level = f.quadratic_trace(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    x = f.gen() + f.one()
+    assert level[x.index] == (x ** 4).trace()
+    assert peak < 1_000_000
+
+
+SCALAR_FIELDS = [(3, m, None) for m in range(1, 6)] + [(5, m, None) for m in range(1, 4)] + [
+    (3, 7, None), (47, 2, None), (131, 2, None), (5, 4, (4, 4, 4, 3, 1))]
+
+
+@pytest.mark.parametrize("p,m,modulus", SCALAR_FIELDS)
+def test_norm_inverse_and_eta_match_square_and_multiply(p, m, modulus):
+    # the norm route against powers of x: every unit where there are at most 2 500, else 2 500 of them
+    f = field_create(p, m, modulus)
+    q = f.q
+    units = range(1, q) if q <= 2501 else random.Random(q).sample(range(1, q), 2500)
+    one, minus_one = f.one(), -f.one()
+    for i in units:
+        x = f.from_index(i)
+        assert x.inverse() == x ** (q - 2), i
+        euler = x ** ((q - 1) // 2)
+        assert euler in (one, minus_one)
+        assert x.eta() == (1 if euler == one else -1), i
+        assert f.scalar(x.norm()) == x ** ((q - 1) // (p - 1)), i
+    assert f.zero().norm() == 0 and f.zero().eta() == 0
 
 
 @pytest.mark.parametrize("p,m,modulus", [(3, 1, None), (3, 5, None), (5, 3, (2, 0, 3, 1)), (13, 2, None), (131, 1, None)])

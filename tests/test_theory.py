@@ -1,5 +1,6 @@
 """Closed-form predictions against spec examples and structural invariants."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from weilcodes import theory
+from weilcodes import codes, theory
 from weilcodes.charsum import gamma_of
 from weilcodes.codes import (
     CodeSpec,
@@ -203,6 +204,29 @@ def test_predicted_table_keeps_one_gamma_and_level_table_per_u_mod_m2():
     keys = [k for k in f9._caches if isinstance(k, tuple)]
     assert sorted(k for k in keys if k[0] == "gamma") == [("gamma", 0), ("gamma", 1)]
     assert sorted(k for k in keys if k[0] == "quadratic_trace") == [("quadratic_trace", 0), ("quadratic_trace", 1)]
+
+
+def test_scan_and_predicted_table_build_no_power_table(monkeypatch):
+    # the level tables are digit quadratic forms: on fresh fields, the defining-set scan and the
+    # predicted table (m2/v odd, 2 and 0 mod 4, punctured, p = 5 and 7) build no power table
+    specs = [CodeSpec(3, 2, 4, 1, 1), CodeSpec(3, 3, 4, 1, 0), CodeSpec(3, 2, 3, 1, 0, True), CodeSpec(3, 1, 6, 1, 2),
+             CodeSpec(5, 1, 2, 1, 2), CodeSpec(5, 2, 2, 1, 0, True), CodeSpec(7, 1, 2, 1, 3)]
+
+    def scan(spec):
+        ds = build_defining_set(spec)
+        return ds.xs.tolist(), ds.ys.tolist()
+
+    expected = [(scan(spec), predicted_table(spec)) for spec in specs]
+
+    def no_power_table(field, e):
+        raise AssertionError(f"power table x^{e} built on {field}")
+
+    monkeypatch.setattr(FiniteField, "power_table", no_power_table)
+    for spec, (points, table) in zip(specs, expected):
+        monkeypatch.setattr(codes, "cached_field", functools.lru_cache(maxsize=None)(FiniteField))
+        assert not spec.field1._caches and not spec.field2._caches
+        assert scan(spec) == points
+        assert np.array_equal(predicted_table(spec), table)
 
 
 def test_predicted_table_matches_measured_spot():
