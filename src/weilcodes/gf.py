@@ -16,6 +16,8 @@ Whole-field work runs on (N, m) arrays of digit rows, at any field size:
   of Tr(xy) is D G D^T mod p for the digit array D of all elements;
 * Tr(x^{p^u + 1}) is the quadratic form x F_u G x^T on the digit row x, with
   F_u the Frobenius matrix of x -> x^{p^u}, so a level table needs no power;
+  with M_a the matrix of y -> a y, Tr(a x^{p^u + 1} + b x) is the form
+  x F_u M_a G x^T + x G b^T, so neither does an exhaustive character sum;
 * the histograms of Tr(a z) over classes of members z, for every a, are a
   Walsh-Hadamard butterfly on the members' rows z G.
 
@@ -93,10 +95,15 @@ def mod_p(x: np.ndarray, p: int) -> np.ndarray:
 # dense polynomials over F_p, little-endian coefficient tuples
 # ---------------------------------------------------------------------------
 
-def _poly_reduce(prod, mod, p):
-    """prod mod f as an m-tuple: from the top down, each coefficient is taken mod p once and cancelled."""
+def _reducer(mod):
+    """(m, nonzero low terms (k, f_k) of the monic f of degree m): what a reduction mod f reads, built once per f."""
     m = len(mod) - 1
-    terms = [(k, c) for k, c in enumerate(mod[:m]) if c]
+    return m, [(k, c) for k, c in enumerate(mod[:m]) if c]
+
+
+def _poly_reduce(prod, red, p):
+    """prod mod f as an m-tuple: from the top down, each coefficient is taken mod p once and cancelled."""
+    m, terms = red
     for d in range(len(prod) - 1, m - 1, -1):
         c = prod[d] % p
         if c:
@@ -105,7 +112,7 @@ def _poly_reduce(prod, mod, p):
     return tuple([c % p for c in prod[:m]])
 
 
-def _poly_mulmod(a, b, mod, p, shift=0):
+def _poly_mulmod(a, b, red, p, shift=0):
     """a b X^shift mod f, summed in plain integers and reduced once; a square (a is b) adds a_i a_j once, doubled."""
     n = len(a)
     prod = [0] * (2 * n - 1 + shift)
@@ -118,26 +125,26 @@ def _poly_mulmod(a, b, mod, p, shift=0):
         elif ai:
             for j, bj in enumerate(b, i + shift):
                 prod[j] += ai * bj
-    return _poly_reduce(prod, mod, p)
+    return _poly_reduce(prod, red, p)
 
 
-def _poly_powmod(base, e, mod, p):
+def _poly_powmod(base, e, red, p):
     """base^e mod f by left-to-right square-and-multiply; for base X a multiply shifts the square's product."""
-    m = len(mod) - 1
+    m = red[0]
     is_x = m > 1 and base == (0, 1) + (0,) * (m - 2)
     result = base if e else (1,) + (0,) * (m - 1)
     for bit in bin(e)[3:]:
-        result = _poly_mulmod(result, result, mod, p, is_x and bit == "1")
+        result = _poly_mulmod(result, result, red, p, is_x and bit == "1")
         if bit == "1" and not is_x:
-            result = _poly_mulmod(result, base, mod, p)
+            result = _poly_mulmod(result, base, red, p)
     return result
 
 
-def _shift_rows(a, mod, p):
+def _shift_rows(a, red, p):
     """Digit rows of X^i a mod f for i < m: the rows of multiplication by a, each a shift and one reduction step."""
     rows = [a]
     for _ in range(len(a) - 1):
-        rows.append(_poly_reduce([0, *rows[-1]], mod, p))
+        rows.append(_poly_reduce([0, *rows[-1]], red, p))
     return rows
 
 
@@ -188,9 +195,9 @@ def is_irreducible(modulus, p: int) -> bool:
         return True
     if mod[0] == 0:  # X divides it
         return False
-    h = (0, 1) + (0,) * (m - 2)
+    h, red = (0, 1) + (0,) * (m - 2), _reducer(mod)
     for _ in range(m // 2):
-        h = _poly_powmod(h, p, mod, p)  # X^{p^k} mod f
+        h = _poly_powmod(h, p, red, p)  # X^{p^k} mod f
         if not _is_coprime([h[0], (h[1] - 1) % p, *h[2:]], list(mod), p):
             return False
     return True
@@ -252,6 +259,7 @@ class FiniteField:
         self.m = m
         self.q = p**m
         self.modulus = modulus
+        self._reduction = _reducer(modulus)
         self._hash = hash((p, m, modulus))
         self._caches: dict = {}
 
@@ -299,7 +307,9 @@ class FiniteField:
         return FFElement(self, coeffs)
 
     def from_index(self, idx: int) -> "FFElement":
-        return FFElement(self, None, int(idx) % self.q)
+        if type(idx) is not int:  # a numpy integer, say
+            idx = int(idx)
+        return FFElement(self, None, idx % self.q)
 
     def scalar(self, c: int) -> "FFElement":
         """Embed c in F_p as c * 1."""
@@ -347,7 +357,7 @@ class FiniteField:
         def build():
             rows = [(1,) + (0,) * (self.m - 1)]
             for _ in range(2 * self.m - 2):  # times X: a shift and one reduction step
-                rows.append(_poly_reduce([0, *rows[-1]], self.modulus, self.p))
+                rows.append(_poly_reduce([0, *rows[-1]], self._reduction, self.p))
             return np.array(rows, dtype=np.int64)
 
         return self.cached("x_powers", build)
@@ -372,10 +382,10 @@ class FiniteField:
             if k > 1:
                 return self.frob_matrix(k - 1) @ self.frob_matrix(1) % self.p
             # (X^i)^p = (X^p)^i: one powering of X, then a product per row
-            xp = _poly_powmod(self.gen().coeffs, self.p, self.modulus, self.p)
+            xp = _poly_powmod(self.gen().coeffs, self.p, self._reduction, self.p)
             rows = [(1,) + (0,) * (self.m - 1)]
             for _ in range(self.m - 1):
-                rows.append(_poly_mulmod(rows[-1], xp, self.modulus, self.p))
+                rows.append(_poly_mulmod(rows[-1], xp, self._reduction, self.p))
             return np.array(rows, dtype=np.int64)
 
         return self.cached(("frob", k), build)
@@ -406,6 +416,21 @@ class FiniteField:
             return tk[i[:, None] + i[None, :]]
 
         return self.cached("gram", build)
+
+    def _times_gram(self) -> np.ndarray:
+        """(m, m, m) array W with W @ a = M_a G for the digit row a: W[i, k, j] = (X^{i+j} G)[k].
+
+        M_a, the matrix of y -> a y, has row i = a X^i = sum_j a_j X^{i+j}, so
+        (M_a G)[i, k] = sum_j a_j W[i, k, j]; its entries are at most
+        m (p - 1)^2, not reduced mod p.
+        """
+
+        def build():
+            i = np.arange(self.m)
+            rows = self._powers_of_x() @ self._gram() % self.p  # X^n G for n < 2m - 1
+            return rows[i[:, None] + i].transpose(0, 2, 1).copy()
+
+        return self.cached("times_gram", build)
 
     def trace_forms(self, indices) -> np.ndarray:
         """Row r holds Tr(x y) for the element x of index indices[r] and every index y (int64)."""
@@ -486,7 +511,11 @@ class FiniteField:
         )
 
     def eta_table(self) -> np.ndarray:
-        """Quadratic character of every index (int8): the nonzero squares get +1."""
+        """Quadratic character of every index (int8): the nonzero squares get +1.
+
+        No library path reads it: a single character goes through the norm
+        (`FFElement.eta`).  Only the benchmark and the tests build it.
+        """
 
         def build():
             eta = np.full(self.q, -1, dtype=np.int8)
@@ -503,9 +532,10 @@ class FiniteField:
         (x^{p^k})^{e_k}: each p^k-th power is the digit rows times
         `frob_matrix(k)`, multiplied in e_k times with `mulmod`.  So
         x^{p^u + 1} and x^2 cost one `mulmod` each.  The rows go in blocks,
-        each `mulmod` product holding at most _BLOCK entries.  The exhaustive
-        character sums and `eta_table` read it; the level tables do not
-        (`quadratic_trace`).
+        each `mulmod` product holding at most _BLOCK entries.  No library
+        path reads it: the level tables and the exhaustive character sums are
+        digit forms (`quadratic_trace`, `trace_values`).  Only `eta_table`,
+        the benchmark and the tests build it.
         """
         if e < 0:
             raise GFError(f"power_table needs a nonnegative exponent, got {e}")
@@ -534,32 +564,61 @@ class FiniteField:
 
         return self.cached(("pow", e), build)
 
+    def _form_values(self, form: np.ndarray, lin: np.ndarray | None, dtype) -> np.ndarray:
+        """x form x^T + x lin mod p for the digit row x of every index, as `dtype`.
+
+        Each block of _BLOCK // m digit rows is one product with form and one
+        row sum of its entrywise product with the rows, taken as a product
+        with a vector of ones (faster than a reduction along the rows), plus
+        one product with lin.  The block runs in float64, whose matrix product is several
+        times faster than numpy's integer one, and is exact while the entries
+        of form and lin lie in 0 .. p - 1: every value is then an integer of
+        at most m^2 (p - 1)^3 + m (p - 1)^2, below 2^53 for any field whose
+        digit table fits in memory.
+        """
+        p, digits = self.p, self.digits()
+        form = form.astype(np.float64)
+        ones = np.ones(self.m)
+        out = np.empty(self.q, dtype=dtype)
+        step = max(1, _BLOCK // self.m)
+        for lo in range(0, self.q, step):
+            rows = digits[lo : lo + step].astype(np.float64)
+            prod = rows @ form
+            prod *= rows
+            vals = prod @ ones
+            if lin is not None:
+                vals += rows @ lin  # as a product: a broadcast add along rows of m entries is slower
+            out[lo : lo + step] = mod_p(vals.astype(np.int64), p)
+        return out
+
+    def trace_values(self, u: int, a: "FFElement", b: "FFElement") -> np.ndarray:
+        """Tr(a x^{p^u + 1} + b x) for every index x (int64); u counts mod m.
+
+        The digit row of x^{p^u} is x F (F = `frob_matrix(u)`), that of y a is
+        y M_a (row i of M_a is a X^i) and Tr(y x) is y G x^T (G from `_gram`),
+        so the value is the digit form x B x^T + x l with B = F M_a G and
+        l = G b^T, both mod p (M_a G from `_times_gram`; `_form_values`).  It
+        forms no element power and keeps nothing: a and b change from call to
+        call.
+        """
+        p = self.p
+        form = self.frob_matrix(u) @ (self._times_gram() @ a.coeffs) % p
+        return self._form_values(form, (self._gram() @ b.coeffs % p).astype(np.float64), np.int64)
+
     def quadratic_trace(self, u: int) -> np.ndarray:
         """Tr(x^{p^u + 1}) for every index x (int16), Tr(x^2) at u = 0; u counts mod m, as x^{p^m} = x.
 
         The digit row of x^{p^u} is x F (F = `frob_matrix(u)`) and Tr(y x) is
-        y G x^T (G from `_gram`), so Tr(x^{p^u} x) is the quadratic form
-        x B x^T with B = F G mod p.  Each block of _BLOCK // m digit rows is
-        one product with B and one row sum of its entrywise product with the
-        rows; no element power, power table or trace table is formed.  The
-        block runs in float64, whose matrix product is several times faster
-        than numpy's integer one, and is exact: every value is an integer of
-        at most m^2 (p - 1)^3, below 2^53 for any field whose digit table
-        fits in memory.
+        y G x^T (G from `_gram`), so Tr(x^{p^u} x) is the digit form x B x^T
+        with B = F G mod p (`_form_values`, the a = 1, b = 0 case of
+        `trace_values`); no element power, power table or trace table is
+        formed.
         """
         u %= self.m
-
-        def build():
-            p, digits = self.p, self.digits()
-            form = (self.frob_matrix(u) @ self._gram() % p).astype(np.float64)
-            out = np.empty(self.q, dtype=np.int16)
-            step = max(1, _BLOCK // self.m)
-            for lo in range(0, self.q, step):
-                rows = digits[lo : lo + step].astype(np.float64)
-                out[lo : lo + step] = mod_p(((rows @ form) * rows).sum(axis=1).astype(np.int64), p)
-            return out
-
-        return self.cached(("quadratic_trace", u), build)
+        return self.cached(
+            ("quadratic_trace", u),
+            lambda: self._form_values(self.frob_matrix(u) @ self._gram() % self.p, None, np.int16),
+        )
 
     def trace_of_products(self) -> np.ndarray:
         """(q, q) table of Tr(x*y), built as D G D^T mod p in row blocks.
@@ -691,7 +750,7 @@ class FFElement:
     def __mul__(self, other):
         self._check(other)
         f = self.field
-        prod = _poly_mulmod(self.coeffs, other.coeffs, f.modulus, f.p)
+        prod = _poly_mulmod(self.coeffs, other.coeffs, f._reduction, f.p)
         return FFElement(f, prod)
 
     def __truediv__(self, other):
@@ -702,7 +761,7 @@ class FFElement:
         if e < 0:
             return self.inverse() ** -e
         f = self.field
-        return FFElement(f, _poly_powmod(self.coeffs, e, f.modulus, f.p))
+        return FFElement(f, _poly_powmod(self.coeffs, e, f._reduction, f.p))
 
     def inverse(self) -> "FFElement":
         """x^{-1} = r / N(x) with r = prod_{k=1}^{m-1} x^{p^k}, as x r = N(x) lies in F_p (Itoh & Tsujii 1988).
@@ -822,13 +881,13 @@ def linearized_operator(field: FiniteField, a: FFElement, u: int) -> LinOperator
     """Matrix of X -> a^{p^u} X^{p^{2u}} + a X on the power basis."""
     if a.field != field:
         raise FieldMismatch("a must lie in the given field")
-    p, mod = field.p, field.modulus
+    p, red = field.p, field._reduction
     # column i is the image of X^i: (X^i)^{p^{2u}} (row i of frob_matrix(2u)) times the rows of
     # multiplication by a^{p^u}, plus X^i a (row i of multiplication by a)
-    times_fa = _shift_rows(a.frobenius_iterate(u).coeffs, mod, p)
+    times_fa = _shift_rows(a.frobenius_iterate(u).coeffs, red, p)
     images = [
         [(s + t) % p for s, t in zip(_row_times(row, times_fa), xa)]
-        for row, xa in zip(field._frob_rows(2 * u), _shift_rows(a.coeffs, mod, p))
+        for row, xa in zip(field._frob_rows(2 * u), _shift_rows(a.coeffs, red, p))
     ]
     return LinOperator(field, tuple(zip(*images)))
 

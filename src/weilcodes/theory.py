@@ -132,47 +132,57 @@ def predicted_keys(spec: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
     return ta, np.where(gam >= 0, spec.field2.quadratic_trace(spec.u)[gam], -1)
 
 
-def _composition(spec: CodeSpec, solvable: bool, t: int | None) -> tuple[int, ...]:
-    """N_{lambda,rho}(a,b) for rho = 0..p-1, for a nonzero pair in class (solvable, T = t).
+def _compositions(spec: CodeSpec) -> tuple[tuple[int, ...] | None, list[tuple[int, ...]]]:
+    """N_{lambda,rho}(a,b) for rho = 0..p-1 for a nonzero pair, per class: (unsolvable, [solvable with T = t]).
 
-    For lambda = 0 the origin, which D_0 excludes but the formulas count, is
-    already taken off the rho = 0 slot.
+    The first is the row of the pairs whose gamma_b is missing, None outside
+    the m2/v = 0 mod 4 regime, where every b has one; the list holds the row
+    of the solvable class T = t at index t.  The signs are derived once and
+    eta read from one list of the p Legendre symbols.  For lambda = 0 the
+    origin, which D_0 excludes but the formulas count, is already taken off
+    the rho = 0 slot.
     """
     p, K = spec.p, spec.K
     lam = spec.lam
     W, E = _case_signs(spec)
+    eta = [eta1(p, x) for x in range(p)]  # eta[x % p] is eta1(p, x)
     base = p ** (K - 2)
     k_odd = K % 2 == 1
-    if lam == 0:
-        # (rho = 0 slot, every other slot), origin included
+
+    def composition(solvable: bool, t: int | None) -> tuple[int, ...]:
+        if lam == 0:
+            # (rho = 0 slot, every other slot), origin included
+            if not solvable:
+                # K odd: flat base; K even: base + (p-1) W p^{E-1} in every slot
+                zero = rest = base if k_odd else base + (p - 1) * W * p ** (E - 1)
+            elif t == 0:
+                zero, rest = base if k_odd else base + (p - 1) * W * p**E, base
+            elif k_odd:
+                # adopted sign: rho = 0 gets base - eta1(-T)(p-1) W p^E in all three
+                # K-odd regimes; the opposite sign in the m2/v-odd regime fails both
+                # Pless moments and the direct tally
+                s = eta[-t % p] * W
+                zero, rest = base - s * (p - 1) * p**E, base + s * p**E
+            else:
+                zero, rest = base, base + W * p**E
+            return (zero - 1,) + (rest,) * (p - 1)
         if not solvable:
-            # K odd: flat base; K even: base + (p-1) W p^{E-1} in every slot
-            zero = rest = base if k_odd else base + (p - 1) * W * p ** (E - 1)
-        elif t == 0:
-            zero, rest = base if k_odd else base + (p - 1) * W * p**E, base
-        elif k_odd:
-            # adopted sign: rho = 0 gets base - eta1(-T)(p-1) W p^E in all three
-            # K-odd regimes; the opposite sign in the m2/v-odd regime fails both
-            # Pless moments and the direct tally
-            s = eta1(p, -t) * W
-            zero, rest = base - s * (p - 1) * p**E, base + s * p**E
-        else:
-            zero, rest = base, base + W * p**E
-        return (zero - 1,) + (rest,) * (p - 1)
-    if not solvable:
-        return (base - eta1(p, -lam) * W * p**E if k_odd else base - W * p ** (E - 1),) * p
-    if t == 0:
+            return (base - eta[-lam % p] * W * p**E if k_odd else base - W * p ** (E - 1),) * p
+        if t == 0:
+            if k_odd:
+                return (base - eta[-lam % p] * W * p ** (E + 1),) + (base,) * (p - 1)
+            # adopted sign: -W in every even-K regime; +W in the 2mod4/m1-even case
+            # breaks the column-sum law (a direct tally of the [30,4,18] code gives
+            # composition (12,9,9), not (6,9,9))
+            return (base - W * p**E,) + (base,) * (p - 1)
         if k_odd:
-            return (base - eta1(p, -lam) * W * p ** (E + 1),) + (base,) * (p - 1)
-        # adopted sign: -W in every even-K regime; +W in the 2mod4/m1-even case
-        # breaks the column-sum law (a direct tally of the [30,4,18] code gives
-        # composition (12,9,9), not (6,9,9))
-        return (base - W * p**E,) + (base,) * (p - 1)
-    if k_odd:
-        s = eta1(p, -t) * W
-        return tuple(base - s * (p - 1) * p**E if (rho * rho - 4 * lam * t) % p == 0 else base + s * p**E
-                     for rho in range(p))
-    return tuple(base + eta1(p, rho * rho - 4 * lam * t) * W * p**E for rho in range(p))
+            s = eta[-t % p] * W
+            return tuple(base - s * (p - 1) * p**E if (rho * rho - 4 * lam * t) % p == 0 else base + s * p**E
+                         for rho in range(p))
+        return tuple(base + eta[(rho * rho - 4 * lam * t) % p] * W * p**E for rho in range(p))
+
+    unsolvable = composition(False, None) if (spec.m2 // spec.v) % 4 == 0 else None
+    return unsolvable, [composition(True, t) for t in range(p)]
 
 
 # ---------------------------------------------------------------------------
@@ -245,17 +255,16 @@ class PredictedEnumerator:
 def _classes(spec: CodeSpec):
     """(count, composition) pairs for the nonzero message pairs, by (solvable, T)."""
     p = spec.p
-    m2v = spec.m2 // spec.v
+    unsolvable, by_t = _compositions(spec)
     out = []
-    if m2v % 4 == 0:
-        unsolvable = p**spec.m1 * (p**spec.m2 - count_B(spec))
-        out.append((unsolvable, _composition(spec, False, None)))
+    if unsolvable is not None:
+        out.append((p**spec.m1 * (p**spec.m2 - count_B(spec)), unsolvable))
         counts = [count_A_bar(spec, t) for t in range(p)]
     else:
         counts = [count_A_tilde(spec, t) for t in range(p)]
     for t in range(p):
         c = counts[t] - (1 if t == 0 else 0)  # (0,0) sits in the solvable T=0 class
-        out.append((c, _composition(spec, True, t)))
+        out.append((c, by_t[t]))
     return out
 
 
@@ -304,7 +313,7 @@ def predict_cwe(spec: CodeSpec) -> PredictedEnumerator:
 def predicted_table(spec: CodeSpec) -> np.ndarray:
     """(q1, q2, p) `TABLE_DTYPE` (int32) array of predicted compositions for every message pair.
 
-    Entry [a, b] of the full code is `_composition` of whether gamma_b exists
+    Entry [a, b] of the full code is the `_compositions` row of whether gamma_b exists
     and of T(a, b) = Tr(a^2/4) + Tr(gamma_b^{p^u+1}), read from `predicted_keys`;
     the (0, 0) entry holds the zero codeword's composition.  The per-class
     rows are int32 and gathered into the int32 table, so no int64 array of
@@ -318,9 +327,9 @@ def predicted_table(spec: CodeSpec) -> np.ndarray:
     ta, tb = predicted_keys(full)
     solvable = tb >= 0
     T = mod_p(ta[:, None] + tb[None, :], p)
-    comp_by_t = np.array([_composition(full, True, t) for t in range(p)], dtype=TABLE_DTYPE)
-    out = np.take(comp_by_t, T, axis=0)
+    unsolvable, by_t = _compositions(full)
+    out = np.take(np.array(by_t, dtype=TABLE_DTYPE), T, axis=0)
     if not solvable.all():
-        out[:, ~solvable, :] = np.array(_composition(full, False, None), dtype=TABLE_DTYPE)
+        out[:, ~solvable, :] = np.array(unsolvable, dtype=TABLE_DTYPE)
     out[0, 0] = np.array((n,) + (0,) * (p - 1), dtype=TABLE_DTYPE)
     return out

@@ -226,6 +226,87 @@ def test_quad_closed_equals_brute(p, m, modulus):
         assert quad_sum_closed(field, a, b) == quad_sum_bruteforce(field, a, b)
 
 
+def reference_sums(field, u, ais, bis):
+    """Coefficient tuples of the sums of zeta^{Tr(a x^{p^u + 1} + b x)} at the index pairs (ais[i], bis[i]).
+
+    The plain way: the trace-form rows of a and of b, the first read at
+    x^{p^u + 1} from the power table, added, and counted per pair.
+    """
+    p, n = field.p, len(ais)
+    exps = field.trace_forms(ais)[:, field.power_table(p ** (u % field.m) + 1)] + field.trace_forms(bis)
+    counts = np.bincount((np.arange(n)[:, None] * p + exps % p).ravel(), minlength=n * p).reshape(n, p)
+    return [CycInt(p, row).coeffs for row in counts.tolist()]
+
+
+def reference_sum(field, u, a, b):
+    return CycInt(field.p, reference_sums(field, u, [a.index], [b.index])[0])
+
+
+def assert_brute_sums_equal_the_reference(field, pairs, weil_us):
+    # pairs holds (a index, b index), weil_us[i] the exponents u of the Weil sums at pair i
+    ais, bis = np.array(pairs).T
+    assert gauss_sum_bruteforce(field) == reference_sum(field, 0, field.one(), field.zero())
+    bs = np.unique(bis)
+    orth = reference_sums(field, 0, np.zeros_like(bs), bs)
+    assert [orthogonality_sum(field, field.from_index(bi)).coeffs for bi in bs.tolist()] == orth
+    refs = {u: reference_sums(field, u, ais, bis) for u in {0} | {u % field.m for us in weil_us for u in us}}
+    for i, (ai, bi) in enumerate(pairs):
+        a, b = field.from_index(ai), field.from_index(bi)
+        assert quad_sum_bruteforce(field, a, b).coeffs == refs[0][i], (field, ai, bi)
+        for u in weil_us[i]:
+            assert weil_sum_bruteforce(field, u, a, b).coeffs == refs[u % field.m][i], (field, u, ai, bi)
+
+
+def exponents_u(m):
+    return (0, 1, m - 1, m, 10**12 * m + 1)
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (7, 1), (7, 2)])
+def test_brute_sums_equal_the_power_table_route_for_every_pair(p, m):
+    # every (a, b) with a != 0, q <= 3^4; the Weil sum at one u per pair, the five u in turn
+    field = field_create(p, m)
+    us = exponents_u(m)
+    pairs = [(ai, bi) for ai in range(1, field.q) for bi in range(field.q)]
+    assert_brute_sums_equal_the_reference(field, pairs, [(us[i % len(us)],) for i in range(len(pairs))])
+
+
+@pytest.mark.parametrize(
+    "p,m,modulus",
+    [(3, 7, None), (47, 2, None), (131, 2, None), (3, 5, (2, 0, 0, 0, 1, 1)), (11, 3, (5, 3, 0, 1))],
+)
+def test_brute_sums_equal_the_power_table_route_on_sampled_pairs(p, m, modulus):
+    # six seeded pairs per field, each at all five u
+    field = field_create(p, m, modulus)
+    rng = random.Random(field.q)
+    pairs = [(rng.randrange(1, field.q), rng.randrange(field.q)) for _ in range(6)]
+    assert_brute_sums_equal_the_reference(field, pairs, [exponents_u(m)] * len(pairs))
+
+
+def test_exhaustive_sums_build_no_power_table(monkeypatch):
+    # every exhaustive sum is a digit form: on fresh fields, none builds a power or eta table
+    fields = [(3, 1, None), (3, 4, (2, 0, 0, 1, 1)), (5, 3, None), (3, 7, None), (47, 2, (2, 1, 1))]
+    expected = []
+    for p, m, modulus in fields:
+        field = field_create(p, m, modulus)
+        a, b = field.from_index(field.q - 1), field.from_index(field.q // 2)
+        expected.append((reference_sum(field, 0, field.one(), field.zero()), reference_sum(field, 1, a, b),
+                         reference_sum(field, 0, a, b), reference_sum(field, 0, field.zero(), b)))
+
+    def no_table(field, *args):
+        raise AssertionError(f"power or eta table built on {field}")
+
+    monkeypatch.setattr(FiniteField, "power_table", no_table)
+    monkeypatch.setattr(FiniteField, "eta_table", no_table)
+    for (p, m, modulus), (gauss, weil, quad, orth) in zip(fields, expected):
+        field = field_create(p, m, modulus)
+        a, b = field.from_index(field.q - 1), field.from_index(field.q // 2)
+        assert gauss_sum_bruteforce(field) == gauss
+        assert weil_sum_bruteforce(field, 1, a, b) == weil
+        assert quad_sum_bruteforce(field, a, b) == quad
+        assert orthogonality_sum(field, b) == orth
+        assert not any(k == "eta_vec" or (isinstance(k, tuple) and k[0] == "pow") for k in field._caches)
+
+
 def test_restricted_power_check():
     f9 = field_create(3, 2)
     assert restricted_power_check(2, f9, 1)
@@ -339,6 +420,16 @@ def test_gamma_of_is_solve_linear_particular_solution(p, m, u, modulus):
         assert gamma_of(field, u, b) == solve_linear(op, -(b.frobenius_iterate(u))), b.index
 
 
+@pytest.mark.parametrize("p,m,u,modulus", [(3, 4, 1, (2, 0, 0, 1, 1)), (5, 2, 1, None), (3, 6, 2, None)])
+def test_gamma_of_reads_either_representation(p, m, u, modulus):
+    # an element built from its coefficients holds no index until one is read
+    field = field_create(p, m, modulus)
+    for i in range(field.q):
+        by_coeffs = field.element(field.coeffs_of(i))
+        assert by_coeffs._index is None
+        assert gamma_of(field, u, by_coeffs) == gamma_of(field, u, field.from_index(i)), i
+
+
 @pytest.mark.parametrize("p,m,u", [(3, 5, 1), (5, 4, 1)])
 def test_index_reads_compute_no_coefficients(monkeypatch, p, m, u):
     # from_index, .index and gamma_of stay on indices: no coefficient tuple
@@ -360,7 +451,7 @@ def test_index_reads_compute_no_coefficients(monkeypatch, p, m, u):
 
 
 def test_dropped_field_is_freed():
-    # per-field data (Weil dispatch, gamma table, power tables) lives with the field
+    # per-field data (Weil dispatch, gamma table, level tables) lives with the field
     field = field_create(3, 4, (2, 0, 0, 1, 1))
     a, b = field.gen(), field.one()
     weil_sum_closed(field, 1, a, b)

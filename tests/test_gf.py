@@ -519,11 +519,18 @@ def test_quadratic_trace_equals_the_trace_of_the_power_table(p, m, modulus):
 
 @pytest.mark.parametrize("block", [1, 7, 40])
 def test_quadratic_trace_in_row_blocks_equals_one_block(monkeypatch, block):
-    one_block = {u: gf.FiniteField(5, 3).quadratic_trace(u) for u in range(3)}
+    # the digit-form evaluator behind both `quadratic_trace` and `trace_values`
+    monkeypatch.setattr(gf, "_BLOCK", 1 << 20)
+    f = gf.FiniteField(5, 3)
+    elements = [(f.from_index(ai), f.from_index(bi)) for ai, bi in ((1, 0), (7, 93), (124, 5), (0, 61))]
+    one_block = {u: f.quadratic_trace(u) for u in range(3)}
+    values = {(u, i): f.trace_values(u, a, b) for u in range(3) for i, (a, b) in enumerate(elements)}
     monkeypatch.setattr(gf, "_BLOCK", block)  # 1, 2 and 13 rows per block at m = 3
     f = gf.FiniteField(5, 3)
     for u, table in one_block.items():
         assert np.array_equal(f.quadratic_trace(u), table), u
+        for i, (a, b) in enumerate(elements):
+            assert np.array_equal(f.trace_values(u, f.element(a.coeffs), f.element(b.coeffs)), values[u, i]), (u, i)
 
 
 def test_quadratic_trace_memory_is_bounded_by_its_blocks():

@@ -231,7 +231,7 @@ def test_scan_and_predicted_table_build_no_power_table(monkeypatch):
 
 def test_predicted_table_matches_measured_spot():
     # (3, 6, 5, 1, 1) has n = 59 292 > 2^15: a table narrower than int32 would wrap there.  The
-    # last five differ, codeword by codeword, if `_composition` reads rho^2 - 8 lambda t at even K
+    # last five differ, codeword by codeword, if `_compositions` reads rho^2 - 8 lambda t at even K
     for spec in (CodeSpec(3, 2, 2, 1, 0), CodeSpec(3, 1, 4, 1, 1), CodeSpec(5, 1, 2, 1, 3), CodeSpec(3, 6, 5, 1, 1),
                  CodeSpec(5, 2, 2, 1, 2), CodeSpec(7, 2, 2, 1, 3), CodeSpec(7, 1, 3, 1, 2), CodeSpec(3, 5, 5, 1, 1),
                  CodeSpec(3, 4, 6, 1, 2)):
