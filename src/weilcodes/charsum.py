@@ -10,28 +10,15 @@ the prime field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .gf import FFElement, FiniteField, linearized_operator, mod_p, solve_linear
+from .gf import FFElement, FiniteField, eta1, linearized_operator, mod_p, solve_linear
 
 
 class ZeroA(Exception):
     """The quadratic/Weil sum requires a nonzero leading coefficient."""
-
-
-class OddQuotient(Exception):
-    """Operation requires m2/v to be even."""
-
-
-def eta1(p: int, x: int) -> int:
-    """Legendre symbol of x mod p, with eta1(0) = 0."""
-    x %= p
-    if x == 0:
-        return 0
-    return 1 if pow(x, (p - 1) // 2, p) == 1 else -1
 
 
 class CycInt:
@@ -135,24 +122,15 @@ class CycInt:
         return f"CycInt(p={self.p}, {self.coeffs})"
 
 
-@dataclass(frozen=True)
-class GaussScale:
-    """The fourth root of unity L with L = 1 for p = 1 mod 4 and L = i for p = 3 mod 4.
+def even_l_power(p: int, e: int) -> int:
+    """L^e for even e, L the fourth root of unity with L = 1 for p = 1 mod 4 and L = i for p = 3 mod 4.
 
     Stated as L = i^{(p-1)^2/4}; only even powers of L ever reach enumerator
     arithmetic, and those collapse to the integer eta1(-1)^{e/2}.
     """
-
-    p: int
-
-    @property
-    def sign_exponent(self) -> int:
-        return ((self.p - 1) ** 2 // 4) % 4
-
-    def even_power(self, e: int) -> int:
-        if e % 2:
-            raise ValueError(f"odd power L^{e} is not an integer")
-        return eta1(self.p, -1) ** ((e // 2) % 2)
+    if e % 2:
+        raise ValueError(f"odd power L^{e} is not an integer")
+    return eta1(p, -1) ** ((e // 2) % 2)
 
 
 @lru_cache(maxsize=None)
@@ -176,8 +154,7 @@ def _exhaustive_sum(field: FiniteField, u: int, a: FFElement, b: FFElement) -> C
     """Sum of zeta^{Tr(a x^{p^u + 1} + b x)} over every x of the field, term by term.
 
     The exponents are one digit form on every x (`FiniteField.trace_values`),
-    exact in float64 as each value is at most m^2 (p - 1)^3 + m (p - 1)^2 < 2^53,
-    so the sum is one bincount; it builds no power table and no (q, q) table.
+    exact, so the sum is one bincount; it builds no power table and no (q, q) table.
     """
     return _counts_to_cyc(field.p, np.bincount(field.trace_values(u, a, b), minlength=field.p))
 
@@ -220,11 +197,10 @@ def gauss_sum_closed(p: int, m: int) -> CycInt:
     Even m gives a plain integer; odd m trades L p^{1/2} for one factor of
     the concrete G_1, keeping the value exact.
     """
-    L = GaussScale(p)
     if m % 2 == 0:
-        val = (-1) ** (m - 1) * L.even_power(m) * p ** (m // 2)
+        val = (-1) ** (m - 1) * even_l_power(p, m) * p ** (m // 2)
         return CycInt.integer(p, val)
-    coef = (-1) ** (m - 1) * L.even_power(m - 1) * p ** ((m - 1) // 2)
+    coef = (-1) ** (m - 1) * even_l_power(p, m - 1) * p ** ((m - 1) // 2)
     return coef * g1(p)
 
 
@@ -280,21 +256,6 @@ def quad_sum_closed(field: FiniteField, a: FFElement, b: FFElement) -> CycInt:
     four_a = field.scalar(4) * a
     e = (-(b * b / four_a)).trace()
     return gauss_sum_closed(p, m) * a.eta() * CycInt.zeta(p, e)
-
-
-def restricted_power_check(z: int, field: FiniteField, u: int) -> bool:
-    """Whether z^{(p^m-1)/(p^v+1)} = 1 for the prime-field unit z; needs m/v even.
-
-    It is True for every unit z: with m/v even, p - 1 divides p^v - 1, which
-    divides (p^m - 1)/(p^v + 1) = (p^v - 1) sum_{j < m/2v} p^{2vj}, and
-    z^{p-1} = 1.  So it tells no unit from another.
-    """
-    p, m = field.p, field.m
-    v = math.gcd(m, u)
-    if (m // v) % 2:
-        raise OddQuotient(f"m/v = {m // v} is odd")
-    zi = field.scalar(z)
-    return zi ** ((p**m - 1) // (p**v + 1)) == field.one()
 
 
 def gamma_table(field: FiniteField, u: int) -> np.ndarray:

@@ -78,6 +78,14 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
+def eta1(p: int, x: int) -> int:
+    """Legendre symbol of x mod p, with eta1(0) = 0."""
+    x %= p
+    if x == 0:
+        return 0
+    return 1 if pow(x, (p - 1) // 2, p) == 1 else -1
+
+
 def mod_p(x: np.ndarray, p: int) -> np.ndarray:
     """x mod p for an integer array, as x - (x // p) p, in a new array.
 
@@ -259,6 +267,8 @@ class FiniteField:
         self.m = m
         self.q = p**m
         self.modulus = modulus
+        # digits and trace values lie in 0 .. p - 1: int16 while they fit, int32 from p > 2^15
+        self.digit_dtype = np.int16 if p < 1 << 15 else np.int32
         self._reduction = _reducer(modulus)
         self._hash = hash((p, m, modulus))
         self._caches: dict = {}
@@ -334,12 +344,12 @@ class FiniteField:
     # -- the digit-array core --
 
     def digits(self) -> np.ndarray:
-        """(q, m) int16 array whose row i holds the coefficients of the element of index i."""
+        """(q, m) `digit_dtype` array whose row i holds the coefficients of the element of index i."""
 
         def build():
-            # column by column into the int16 result: no (q, m) int64 temporary
+            # column by column into the narrow result: no (q, m) int64 temporary
             idx = np.arange(self.q, dtype=np.int64)
-            out = np.empty((self.q, self.m), dtype=np.int16)
+            out = np.empty((self.q, self.m), dtype=self.digit_dtype)
             for k in range(self.m):
                 out[:, k] = mod_p(idx, self.p)
                 idx //= self.p
@@ -493,7 +503,7 @@ class FiniteField:
         return self.cached("lex_order", lambda: np.argsort(self.lex_rank(self.digits())))
 
     def trace_table(self) -> np.ndarray:
-        """Tr(x) for every index x (int16).
+        """Tr(x) for every index x (`digit_dtype`).
 
         No library path reads it: a single trace is the trace functional on
         the coefficients, and the level tables are `quadratic_trace`.  Only
@@ -501,7 +511,7 @@ class FiniteField:
         """
         return self.cached(
             "trace_vec",
-            lambda: mod_p(self.digits() @ np.array(self._trace_functional()), self.p).astype(np.int16),
+            lambda: mod_p(self.digits() @ np.array(self._trace_functional()), self.p).astype(self.digit_dtype),
         )
 
     def frob_table(self) -> np.ndarray:
@@ -571,19 +581,26 @@ class FiniteField:
         row sum of its entrywise product with the rows, taken as a product
         with a vector of ones (faster than a reduction along the rows), plus
         one product with lin.  The block runs in float64, whose matrix product is several
-        times faster than numpy's integer one, and is exact while the entries
-        of form and lin lie in 0 .. p - 1: every value is then an integer of
-        at most m^2 (p - 1)^3 + m (p - 1)^2, below 2^53 for any field whose
-        digit table fits in memory.
+        times faster than numpy's integer one, and is exact while every value
+        stays below 2^53.  With the entries of form and lin in 0 .. p - 1, a
+        value is at most m^2 (p - 1)^3 + m (p - 1)^2.  Where that bound passes
+        2^53 (from p = 208 067 at m = 1), the products with form are taken
+        mod p first, which brings it to 2 m (p - 1)^2; where that passes 2^53
+        too, no exact value is formed and GFError is raised.
         """
-        p, digits = self.p, self.digits()
-        form = form.astype(np.float64)
-        ones = np.ones(self.m)
+        p, m = self.p, self.m
+        wide = m * m * (p - 1) ** 3 + m * (p - 1) ** 2 >= 1 << 53
+        if wide and 2 * m * (p - 1) ** 2 >= 1 << 53:
+            raise GFError(f"digit forms over F_{p}^{m} pass float64's exact range")
+        digits, form = self.digits(), form.astype(np.float64)
+        ones = np.ones(m)
         out = np.empty(self.q, dtype=dtype)
-        step = max(1, _BLOCK // self.m)
+        step = max(1, _BLOCK // m)
         for lo in range(0, self.q, step):
             rows = digits[lo : lo + step].astype(np.float64)
             prod = rows @ form
+            if wide:
+                np.fmod(prod, p, out=prod)
             prod *= rows
             vals = prod @ ones
             if lin is not None:
@@ -606,7 +623,7 @@ class FiniteField:
         return self._form_values(form, (self._gram() @ b.coeffs % p).astype(np.float64), np.int64)
 
     def quadratic_trace(self, u: int) -> np.ndarray:
-        """Tr(x^{p^u + 1}) for every index x (int16), Tr(x^2) at u = 0; u counts mod m, as x^{p^m} = x.
+        """Tr(x^{p^u + 1}) for every index x (`digit_dtype`), Tr(x^2) at u = 0; u counts mod m, as x^{p^m} = x.
 
         The digit row of x^{p^u} is x F (F = `frob_matrix(u)`) and Tr(y x) is
         y G x^T (G from `_gram`), so Tr(x^{p^u} x) is the digit form x B x^T
@@ -617,19 +634,19 @@ class FiniteField:
         u %= self.m
         return self.cached(
             ("quadratic_trace", u),
-            lambda: self._form_values(self.frob_matrix(u) @ self._gram() % self.p, None, np.int16),
+            lambda: self._form_values(self.frob_matrix(u) @ self._gram() % self.p, None, self.digit_dtype),
         )
 
     def trace_of_products(self) -> np.ndarray:
         """(q, q) table of Tr(x*y), built as D G D^T mod p in row blocks.
 
-        Stored as int8, or as int16 for p > 127, where int8 would wrap.  No
+        Stored as int8, or as `digit_dtype` for p > 127, where int8 would wrap.  No
         library path reads it: `class_histograms` works from the Gram matrix.
         Only the benchmark and the tests build it.
         """
 
         def build():
-            out = np.empty((self.q, self.q), dtype=np.int8 if self.p <= 127 else np.int16)
+            out = np.empty((self.q, self.q), dtype=np.int8 if self.p <= 127 else self.digit_dtype)
             step = max(1, _BLOCK // self.q)
             for lo in range(0, self.q, step):
                 out[lo : lo + step] = self.trace_forms(np.arange(lo, min(lo + step, self.q)))
@@ -807,11 +824,7 @@ class FFElement:
         x^{(q-1)/(p-1)} (Lidl & Niederreiter, Finite Fields, Thm 5.2 and
         section 2.3); N(x) is m - 1 products.
         """
-        p = self.field.p
-        n = self.norm()
-        if n == 0:
-            return 0
-        return 1 if pow(n, (p - 1) // 2, p) == 1 else -1
+        return eta1(self.field.p, self.norm())
 
     def is_zero(self) -> bool:
         if self._index is not None:

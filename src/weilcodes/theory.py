@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charsum import GaussScale, eta1, gamma_table
+from .charsum import even_l_power, gamma_table
 from .codes import TABLE_DTYPE, CodeSpec, check_table_length, min_weight, we_and_dimension
-from .gf import mod_p
+from .gf import eta1, mod_p
 
 
 class WrongRegime(Exception):
@@ -33,59 +33,38 @@ class UnmatchedCase(Exception):
 
 @dataclass(frozen=True)
 class CaseKey:
-    """Which of the eleven enumerator cases a spec falls in."""
+    """Which of the eleven enumerator cases a spec falls in, and the two numbers every formula of it reads.
 
-    lambda_zero: bool
+    sign is W in {+1, -1}, the even L-power of the theorem: L^{K+1} or L^K
+    when m2/v is odd, L^{m1+1} or L^{m1} otherwise.  exponent is the base
+    exponent E: (K-3)/2 or (K-2)/2, shifted by v in the m2/v = 0 mod 4 regime.
+    """
+
     m2v_class: str  # "odd" | "2mod4" | "0mod4"
-    k_odd: bool
+    k_odd: bool  # the parity of m1 too wherever m2/v is even, as m2 is even there
     theorem: int
+    sign: int
+    exponent: int
+
+
+# (lambda = 0, m2/v class) -> the theorem for K odd, for K even
+_THEOREMS = {
+    (True, "odd"): (1, 2), (True, "2mod4"): (1, 3), (True, "0mod4"): (5, 4),
+    (False, "odd"): (6, 7), (False, "2mod4"): (8, 9), (False, "0mod4"): (11, 10),
+}
 
 
 def case_of(spec: CodeSpec) -> CaseKey:
-    m2v = spec.m2 // spec.v
-    if m2v % 2:
-        cls = "odd"
-    elif m2v % 4 == 2:
-        cls = "2mod4"
-    else:
-        cls = "0mod4"
-    k_odd = spec.K % 2 == 1  # the parity of m1 too wherever m2/v is even, as m2 is even there
-    if spec.lam == 0:
-        if cls == "odd":
-            thm = 1 if k_odd else 2
-        elif cls == "2mod4":
-            thm = 1 if k_odd else 3
-        else:
-            thm = 5 if k_odd else 4
-    else:
-        if cls == "odd":
-            thm = 6 if k_odd else 7
-        elif cls == "2mod4":
-            thm = 8 if k_odd else 9
-        else:
-            thm = 11 if k_odd else 10
-    return CaseKey(spec.lam == 0, cls, k_odd, thm)
-
-
-def _case_signs(spec: CodeSpec) -> tuple[int, int]:
-    """(W, E): the resolved sign W in {+1,-1} and base exponent E of every formula.
-
-    W is the even L-power of the governing theorem (L^{K+1} or L^{K} when
-    m2/v is odd, L^{m1+1} or L^{m1} otherwise); E is (K-3)/2 resp. (K-2)/2,
-    shifted by v in the m2/v = 0 mod 4 regime.
-    """
-    key = case_of(spec)
-    L = GaussScale(spec.p)
-    K = spec.K
-    if key.k_odd:
-        e = K + 1 if key.m2v_class == "odd" else spec.m1 + 1
-        E = (K - 3) // 2
-    else:
-        e = K if key.m2v_class == "odd" else spec.m1
-        E = (K - 2) // 2
-    if key.m2v_class == "0mod4":
+    """The case record of spec: its regime, the parity of K, its theorem, and W and E."""
+    m2v, K = spec.m2 // spec.v, spec.K
+    cls = "odd" if m2v % 2 else "2mod4" if m2v % 4 == 2 else "0mod4"
+    k_odd = K % 2 == 1
+    thm = _THEOREMS[spec.lam == 0, cls][0 if k_odd else 1]
+    e = (K if cls == "odd" else spec.m1) + k_odd
+    E = (K - 3) // 2 if k_odd else (K - 2) // 2
+    if cls == "0mod4":
         E += spec.v
-    return L.even_power(e), E
+    return CaseKey(cls, k_odd, thm, even_l_power(spec.p, e), E)
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +74,15 @@ def _case_signs(spec: CodeSpec) -> tuple[int, int]:
 def predict_length(spec: CodeSpec) -> int:
     """Closed-form |D_lambda|, divided by the orbit size when punctured."""
     p, K = spec.p, spec.K
-    W, E = _case_signs(spec)
+    key = case_of(spec)
+    W, E = key.sign, key.exponent
     if spec.lam == 0:
-        if K % 2:
+        if key.k_odd:
             n = p ** (K - 1) - 1
         else:
             n = p ** (K - 1) + (p - 1) * W * p**E - 1
     else:
-        if K % 2:
+        if key.k_odd:
             n = p ** (K - 1) - eta1(p, -spec.lam) * W * p ** (E + 1)
         else:
             n = p ** (K - 1) - W * p**E
@@ -144,10 +124,10 @@ def _compositions(spec: CodeSpec) -> tuple[tuple[int, ...] | None, list[tuple[in
     """
     p, K = spec.p, spec.K
     lam = spec.lam
-    W, E = _case_signs(spec)
+    key = case_of(spec)
+    W, E, k_odd = key.sign, key.exponent, key.k_odd
     eta = [eta1(p, x) for x in range(p)]  # eta[x % p] is eta1(p, x)
     base = p ** (K - 2)
-    k_odd = K % 2 == 1
 
     def composition(solvable: bool, t: int | None) -> tuple[int, ...]:
         if lam == 0:
@@ -181,7 +161,7 @@ def _compositions(spec: CodeSpec) -> tuple[tuple[int, ...] | None, list[tuple[in
                          for rho in range(p))
         return tuple(base + eta[(rho * rho - 4 * lam * t) % p] * W * p**E for rho in range(p))
 
-    unsolvable = composition(False, None) if (spec.m2 // spec.v) % 4 == 0 else None
+    unsolvable = composition(False, None) if key.m2v_class == "0mod4" else None
     return unsolvable, [composition(True, t) for t in range(p)]
 
 
@@ -191,13 +171,12 @@ def _compositions(spec: CodeSpec) -> tuple[tuple[int, ...] | None, list[tuple[in
 
 def count_A_tilde(spec: CodeSpec, t: int) -> int:
     """#{(a,b) : T(a,b) = t} for the always-solvable regimes (m2/v odd or 2 mod 4)."""
-    m2v = spec.m2 // spec.v
-    if m2v % 4 == 0:
+    key = case_of(spec)
+    if key.m2v_class == "0mod4":
         raise WrongRegime("A-tilde requires m2/v odd or 2 mod 4")
-    p, K = spec.p, spec.K
-    W, _ = _case_signs(spec)
+    p, K, W = spec.p, spec.K, key.sign
     t %= p
-    if K % 2:
+    if key.k_odd:
         if t == 0:
             return p ** (K - 1)
         return p ** (K - 1) - eta1(p, -t) * W * p ** ((K - 1) // 2)
@@ -210,21 +189,19 @@ def count_A_tilde(spec: CodeSpec, t: int) -> int:
 
 def count_B(spec: CodeSpec) -> int:
     """#{b : X^{p^{2u}} + X = -b^{p^u} is solvable} = p^{m2 - 2v} in the 0 mod 4 regime."""
-    m2v = spec.m2 // spec.v
-    if m2v % 4 != 0:
+    if case_of(spec).m2v_class != "0mod4":
         raise WrongRegime("B is only a proper subset when m2/v = 0 mod 4")
     return spec.p ** (spec.m2 - 2 * spec.v)
 
 
 def count_A_bar(spec: CodeSpec, t: int) -> int:
     """#{(a, b in B) : T(a,b) = t} in the 0 mod 4 regime."""
-    m2v = spec.m2 // spec.v
-    if m2v % 4 != 0:
+    key = case_of(spec)
+    if key.m2v_class != "0mod4":
         raise WrongRegime("A-bar requires m2/v = 0 mod 4")
-    p, K, v = spec.p, spec.K, spec.v
-    W, _ = _case_signs(spec)
+    p, K, v, W = spec.p, spec.K, spec.v, key.sign
     t %= p
-    if spec.m1 % 2 == 0:
+    if not key.k_odd:
         if t == 0:
             return p ** (K - 2 * v - 1) + W * (p - 1) * p ** ((K - 2) // 2 - v)
         return p ** (K - 2 * v - 1) - W * p ** ((K - 2) // 2 - v)

@@ -467,6 +467,26 @@ def test_trace_of_products_does_not_wrap_above_p_127():
     assert field_create(127, 1).trace_of_products().dtype == np.int8
 
 
+def test_digit_tables_do_not_wrap_above_p_2_15():
+    # p - 1 = 32770 passes int16: digits, level and trace values are int32 from p = 32771
+    f = field_create(32771, 1)
+    x = np.arange(f.q, dtype=np.int64)
+    assert np.array_equal(f.quadratic_trace(0), x * x % f.p)
+    assert np.array_equal(f.trace_table(), x)  # Tr is the identity on F_p
+    assert f.digits().dtype == f.quadratic_trace(0).dtype == f.trace_table().dtype == np.int32
+    assert field_create(32749, 1).digits().dtype == np.int16
+
+
+def test_digit_forms_refuse_values_past_float64_exactness():
+    # 2 m (p - 1)^2 >= 2^53 from p = 2^26 + 1 at m = 1: refused before the digit rows are built
+    f = field_create(67108879, 1)
+    with pytest.raises(gf.GFError):
+        f.quadratic_trace(0)
+    with pytest.raises(gf.GFError):
+        f.trace_values(0, f.one(), f.one())
+    assert "digits" not in f._caches
+
+
 def test_power_table_in_row_blocks_equals_one_block(monkeypatch):
     p, m = 5, 3
     one_block = {e: field_create(p, m).power_table(e) for e in (0, 2, 6, 26, 124, 1000)}

@@ -44,6 +44,35 @@ def test_case_dispatch_is_total_and_unambiguous():
             assert key.theorem >= 6
 
 
+# one spec per theorem 1..11 and its (theorem, W, E), the values the signs were verified at
+CASE_RECORDS = [
+    ((3, 2, 1, 1, 0), (1, 1, 0)),
+    ((5, 1, 1, 1, 0), (2, 1, 0)),
+    ((3, 2, 2, 1, 0), (3, -1, 1)),
+    ((3, 2, 4, 1, 0), (4, -1, 3)),
+    ((3, 1, 4, 1, 0), (5, -1, 2)),
+    ((7, 2, 1, 1, 1), (6, 1, 0)),
+    ((3, 1, 1, 1, 1), (7, -1, 0)),
+    ((5, 1, 2, 1, 2), (8, 1, 0)),
+    ((3, 2, 2, 1, 2), (9, -1, 1)),
+    ((3, 2, 8, 2, 1), (10, -1, 6)),
+    ((7, 1, 4, 1, 3), (11, -1, 2)),
+]
+
+
+@pytest.mark.parametrize("spec,record", CASE_RECORDS, ids=[f"thm{r[0]}" for _, r in CASE_RECORDS])
+def test_case_record_pins_theorem_sign_and_exponent(spec, record):
+    key = case_of(CodeSpec(*spec))
+    assert (key.theorem, key.sign, key.exponent) == record
+
+
+@pytest.mark.parametrize("lam", [0, 1, 2])
+def test_defining_set_length_above_p_2_15(lam):
+    # int16 digits wrapped at p = 32771: the scan found 32766 points for lambda = 1, not 32772
+    spec = CodeSpec(32771, 1, 1, 1, lam)
+    assert len(build_defining_set(spec)) == predict_length(spec)
+
+
 def test_predict_length_examples():
     assert predict_length(CodeSpec(3, 2, 2, 1, 0)) == 20
     assert predict_length(CodeSpec(3, 2, 2, 1, 2)) == 30
