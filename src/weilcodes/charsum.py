@@ -1,20 +1,20 @@
 """Additive character sums over F_{p^m}, valued exactly in Z[zeta_p].
 
 Every sum here exists in two routes: an exhaustive summation over the field
-(the oracle) and a closed-form evaluator.  Closed forms are assembled as
-(integer scalar) x (G_1 power in {0,1}) x zeta^e so that the irrational
-sqrt(p) never enters the value domain; G_1 itself is the concrete sum over
-the prime field.
+(the oracle) and a closed-form evaluator.  Every closed form is a record
+(c, g, e), an integer c times G_1^g times zeta^e with g in {0, 1}, so that
+the irrational sqrt(p) never enters the value domain; G_1 is the concrete
+sum over the prime field, and one helper writes a record out as a `CycInt`.
+No closed sum multiplies two ring elements.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
-from .gf import FFElement, FiniteField, eta1, linearized_operator, mod_p, solve_linear
+from .gf import FFElement, FiniteField, eta1, eta1_table, linearized_operator, mod_p, solve_linear
 
 
 class ZeroA(Exception):
@@ -39,7 +39,7 @@ class CycInt:
             coeffs = [c - last for c in coeffs]
             coeffs[-1] = 0
         self.p = p
-        self.coeffs = tuple(int(c) for c in coeffs)
+        self.coeffs = tuple(map(int, coeffs))
 
     @classmethod
     def zero(cls, p):
@@ -47,13 +47,11 @@ class CycInt:
 
     @classmethod
     def integer(cls, p, n):
-        return cls(p, [n] + [0] * (p - 1))
+        return _monomial(p, n, 0, 0)
 
     @classmethod
     def zeta(cls, p, e=1):
-        v = [0] * p
-        v[e % p] = 1
-        return cls(p, v)
+        return _monomial(p, 1, 0, e)
 
     def _check(self, other):
         if not isinstance(other, CycInt) or other.p != self.p:
@@ -69,37 +67,6 @@ class CycInt:
 
     def __neg__(self):
         return CycInt(self.p, [-a for a in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CycInt(self.p, [a * other for a in self.coeffs])
-        self._check(other)
-        p = self.p
-        # the nonzero terms of other once, so a product with zeta^e costs O(p), not O(p^2)
-        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        out = [0] * p
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in terms:
-                    out[(i + j) % p] += a * b
-        return CycInt(p, out)
-
-    __rmul__ = __mul__
-
-    def galois(self, k: int) -> "CycInt":
-        """Apply zeta -> zeta^k (k invertible mod p)."""
-        if k % self.p == 0:
-            raise ValueError("k must be invertible mod p")
-        out = [0] * self.p
-        for i, a in enumerate(self.coeffs):
-            out[(i * k) % self.p] += a
-        return CycInt(self.p, out)
-
-    def conjugate(self) -> "CycInt":
-        return self.galois(self.p - 1)
-
-    def abs_square(self) -> "CycInt":
-        return self * self.conjugate()
 
     def is_integer(self) -> bool:
         return not any(self.coeffs[1:])
@@ -133,22 +100,29 @@ def even_l_power(p: int, e: int) -> int:
     return eta1(p, -1) ** ((e // 2) % 2)
 
 
-@lru_cache(maxsize=None)
+def _monomial(p: int, c: int, g: int, e: int) -> CycInt:
+    """The record (c, g, e) as a CycInt: c G_1^g zeta^e, for g in {0, 1}.
+
+    g = 0 puts c at index e.  g = 1 puts c eta1(i - e) at every index i, as
+    G_1 zeta^e is the sum of eta1(j) zeta^{j + e}; eta1 on F_p is
+    `eta1_table`, one numpy pass over the squares, not p calls to `pow`.
+    """
+    if g == 0:
+        v = [0] * p
+        v[e % p] = c
+        return CycInt(p, v)
+    eta, k = eta1_table(p).tolist(), e % p
+    return CycInt(p, [c * t for t in eta[-k:] + eta[:-k]])  # eta[(i - e) % p] at index i
+
+
 def g1(p: int) -> CycInt:
-    """The concrete Gauss sum over F_p: sum of eta1(c) zeta^c."""
-    v = [0] * p
-    for c in range(1, p):
-        v[c] += eta1(p, c)
-    return CycInt(p, v)
+    """The concrete Gauss sum over F_p: sum of eta1(c) zeta^c, built anew on each call."""
+    return _monomial(p, 1, 1, 0)
 
 
 # ---------------------------------------------------------------------------
 # brute-force sums
 # ---------------------------------------------------------------------------
-
-def _counts_to_cyc(p, counts) -> CycInt:
-    return CycInt(p, [int(c) for c in counts])
-
 
 def _exhaustive_sum(field: FiniteField, u: int, a: FFElement, b: FFElement) -> CycInt:
     """Sum of zeta^{Tr(a x^{p^u + 1} + b x)} over every x of the field, term by term.
@@ -156,7 +130,7 @@ def _exhaustive_sum(field: FiniteField, u: int, a: FFElement, b: FFElement) -> C
     The exponents are one digit form on every x (`FiniteField.trace_values`),
     exact, so the sum is one bincount; it builds no power table and no (q, q) table.
     """
-    return _counts_to_cyc(field.p, np.bincount(field.trace_values(u, a, b), minlength=field.p))
+    return CycInt(field.p, np.bincount(field.trace_values(u, a, b), minlength=field.p).tolist())
 
 
 def gauss_sum_bruteforce(field: FiniteField) -> CycInt:
@@ -165,7 +139,7 @@ def gauss_sum_bruteforce(field: FiniteField) -> CycInt:
     Summed as zeta^{Tr(x^2)} over every x, which is the same sum: x^2 = c
     has 1 + eta(c) roots, and zeta^{Tr(c)} summed over all c vanishes.
     """
-    return _counts_to_cyc(field.p, np.bincount(field.quadratic_trace(0), minlength=field.p))
+    return CycInt(field.p, np.bincount(field.quadratic_trace(0), minlength=field.p).tolist())
 
 
 def orthogonality_sum(field: FiniteField, b: FFElement) -> CycInt:
@@ -191,26 +165,29 @@ def quad_sum_bruteforce(field: FiniteField, a: FFElement, b: FFElement) -> CycIn
 # closed forms
 # ---------------------------------------------------------------------------
 
-def gauss_sum_closed(p: int, m: int) -> CycInt:
-    """G_m = (-1)^{m-1} L^m p^{m/2}, expressed inside Z[zeta_p].
+def _gauss_record(p: int, m: int) -> tuple[int, int]:
+    """(c, g) with G_m = c G_1^g: G_m = (-1)^{m-1} L^m p^{m/2}.
 
-    Even m gives a plain integer; odd m trades L p^{1/2} for one factor of
-    the concrete G_1, keeping the value exact.
+    Even m gives the integer c and g = 0; odd m trades L p^{1/2} for one
+    factor of the concrete G_1 (g = 1), keeping the value exact.
     """
-    if m % 2 == 0:
-        val = (-1) ** (m - 1) * even_l_power(p, m) * p ** (m // 2)
-        return CycInt.integer(p, val)
-    coef = (-1) ** (m - 1) * even_l_power(p, m - 1) * p ** ((m - 1) // 2)
-    return coef * g1(p)
+    g = m % 2
+    return (-1) ** (m - 1) * even_l_power(p, m - g) * p ** (m // 2), g
+
+
+def gauss_sum_closed(p: int, m: int) -> CycInt:
+    """G_m as the record (c, g, 0) of `_gauss_record`."""
+    return _monomial(p, *_gauss_record(p, m), 0)
 
 
 def _weil_dispatch(field: FiniteField, u: int, a: FFElement):
-    """Per-(u mod m, a) data for the closed Weil sum, kept with the field: solver and scale.
+    """Per-(u mod m, a) data for the closed Weil sum, kept with the field: (solver, c, g).
 
-    The sum is scale * zeta^e when the shift equation is solvable, else 0.
-    For m/v even, (p^m - 1)/(p^v + 1) = (p^v - 1) sum_{j < m/2v} p^{2vj}, so
-    a^{(p^m-1)/(p^v+1)} = c^{p^v} / c with c = prod_j a^{p^{2vj}}: the case
-    test is c^{p^v} = (-1)^{s/v} c, Frobenius images and m/2v - 1 products.
+    The sum is c G_1^g zeta^e when the shift equation is solvable, else 0.
+    m/v odd gives G_m eta(a).  For m/v even, g = 0 and
+    (p^m - 1)/(p^v + 1) = (p^v - 1) sum_{j < m/2v} p^{2vj}, so
+    a^{(p^m-1)/(p^v+1)} = w^{p^v} / w with w = prod_j a^{p^{2vj}}: the case
+    test is w^{p^v} = (-1)^{s/v} w, Frobenius images and m/2v - 1 products.
     """
     p, m = field.p, field.m
     u %= m
@@ -219,43 +196,49 @@ def _weil_dispatch(field: FiniteField, u: int, a: FFElement):
     def build():
         op = linearized_operator(field, a, u)
         if (m // v) % 2 == 1:
-            return op, gauss_sum_closed(p, m) * a.eta()
+            c, g = _gauss_record(p, m)
+            return op, c * a.eta(), g
         s = m // 2
         sign = (-1) ** (s // v)
-        c = a.frobenius_product(2 * v, m // (2 * v))
-        if c.frobenius_iterate(v) != (c if sign == 1 else -c):
-            return op, CycInt.integer(p, sign * p**s)
-        return op, CycInt.integer(p, -sign * p ** (s + v))
+        w = a.frobenius_product(2 * v, m // (2 * v))
+        if w.frobenius_iterate(v) != (w if sign == 1 else -w):
+            return op, sign * p**s, 0
+        return op, -sign * p ** (s + v), 0
 
     return field.cached(("weil", u, a.index), build)
 
 
 def weil_sum_closed(field: FiniteField, u: int, a: FFElement, b: FFElement) -> CycInt:
-    """S_{m,u}(a, b) via the case split on m/v and the permutation test.
+    """S_{m,u}(a, b) as the record (c, g, e) of `_weil_dispatch`, e = Tr(-a x0^{p^u+1}).
 
-    Dispatch: m/v odd -> G_m eta_m(a) zeta^{Tr(-a x0^{p^u+1})} with x0 the
-    unique solution; m/v even splits on a^{(p^m-1)/(p^v+1)} vs (-1)^{s/v}
-    into the invertible case (+-p^s zeta^e) and the singular case
-    (-+p^{s+v} zeta^e, or 0 when unsolvable).
+    x0 solves the shift equation a^{p^u} X^{p^{2u}} + a X = -b^{p^u}; it is read
+    as y = -x0, the solution at b^{p^u}, since (-x0)^{p^u+1} = x0^{p^u+1}.  m/v odd
+    gives G_m eta_m(a) zeta^e with x0 unique; m/v even splits on
+    a^{(p^m-1)/(p^v+1)} vs (-1)^{s/v} into the invertible case (+-p^s zeta^e)
+    and the singular case (-+p^{s+v} zeta^e, or 0 when unsolvable).
     """
     if a.is_zero():
         raise ZeroA("a must be nonzero")
-    op, scale = _weil_dispatch(field, u, a)
-    x0 = solve_linear(op, -(b.frobenius_iterate(u)))
-    if x0 is None:
+    op, c, g = _weil_dispatch(field, u, a)
+    y = solve_linear(op, b.frobenius_iterate(u))
+    if y is None:
         return CycInt.zero(field.p)
-    e = (-(a * x0.frobenius_iterate(u) * x0)).trace()  # Tr(-a x0^{p^u+1})
-    return scale * CycInt.zeta(field.p, e)
+    return _monomial(field.p, c, g, -(a * y.frobenius_iterate(u) * y).trace())
 
 
 def quad_sum_closed(field: FiniteField, a: FFElement, b: FFElement) -> CycInt:
-    """Q_m(a, b) = G_m eta(a) zeta^{Tr(-b^2 / 4a)}."""
+    """Q_m(a, b) = G_m eta(a) zeta^{Tr(-b^2 / 4a)}, as the record (c eta(a), g, e).
+
+    One Frobenius product r = prod_{k=1}^{m-1} a^{p^k} gives N(a) = a r in F_p
+    (`FFElement.norm_cofactor`), so eta(a) = eta1(N(a)) and 1/(4a) =
+    r / (4 N(a)): e = -Tr(b^2 r) / (4 N(a)).
+    """
     if a.is_zero():
         raise ZeroA("a must be nonzero")
     p, m = field.p, field.m
-    four_a = field.scalar(4) * a
-    e = (-(b * b / four_a)).trace()
-    return gauss_sum_closed(p, m) * a.eta() * CycInt.zeta(p, e)
+    r, norm = a.norm_cofactor()
+    c, g = _gauss_record(p, m)
+    return _monomial(p, c * eta1(p, norm), g, -(b * b * r).trace() * pow(4 * norm, -1, p))
 
 
 def gamma_table(field: FiniteField, u: int) -> np.ndarray:

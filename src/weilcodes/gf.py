@@ -86,6 +86,20 @@ def eta1(p: int, x: int) -> int:
     return 1 if pow(x, (p - 1) // 2, p) == 1 else -1
 
 
+def eta1_table(p: int) -> np.ndarray:
+    """eta1(p, x) for every x in range(p) (int8), from one numpy pass over the squares x^2 mod p, 1 <= x <= p // 2."""
+    x = np.arange(1, p // 2 + 1, dtype=np.int64)
+    return _square_character(p, x * x % p)
+
+
+def _square_character(n: int, squares: np.ndarray) -> np.ndarray:
+    """The int8 vector of length n that is +1 at the given indices, 0 at index 0 and -1 elsewhere."""
+    eta = np.full(n, -1, dtype=np.int8)
+    eta[squares] = 1
+    eta[0] = 0
+    return eta
+
+
 def mod_p(x: np.ndarray, p: int) -> np.ndarray:
     """x mod p for an integer array, as x - (x // p) p, in a new array.
 
@@ -526,14 +540,7 @@ class FiniteField:
         No library path reads it: a single character goes through the norm
         (`FFElement.eta`).  Only the benchmark and the tests build it.
         """
-
-        def build():
-            eta = np.full(self.q, -1, dtype=np.int8)
-            eta[self.power_table(2)] = 1
-            eta[0] = 0
-            return eta
-
-        return self.cached("eta_vec", build)
+        return self.cached("eta_vec", lambda: _square_character(self.q, self.power_table(2)))
 
     def power_table(self, e: int) -> np.ndarray:
         """x^e for every index x, as an int32 index vector (0^0 = 1).
@@ -788,10 +795,15 @@ class FFElement:
         """
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        f = self.field
-        rest = self.frobenius_iterate(1).frobenius_product(1, f.m - 1)
-        scale = pow((self * rest).coeffs[0], -1, f.p)
-        return FFElement(f, tuple([c * scale % f.p for c in rest.coeffs]))
+        p = self.field.p
+        rest, norm = self.norm_cofactor()
+        scale = pow(norm, -1, p)
+        return FFElement(self.field, tuple([c * scale % p for c in rest.coeffs]))
+
+    def norm_cofactor(self) -> tuple["FFElement", int]:
+        """(r, N(x)) with r = prod_{k=1}^{m-1} x^{p^k}, so that x r = N(x) in F_p: m - 1 products."""
+        rest = self.frobenius_iterate(1).frobenius_product(1, self.field.m - 1)
+        return rest, (self * rest).coeffs[0]
 
     def frobenius_iterate(self, k: int) -> "FFElement":
         """x -> x^{p^k}, k reduced mod m, through the Frobenius matrix."""

@@ -1,4 +1,4 @@
-"""Character sums: CycInt algebra, Gauss/Weil/quadratic sums, closed vs brute."""
+"""Character sums: CycInt values, Gauss/Weil/quadratic sums, closed vs brute."""
 
 import gc
 import itertools
@@ -15,6 +15,7 @@ from weilcodes import gf
 from weilcodes.charsum import (
     CycInt,
     ZeroA,
+    _monomial,
     eta1,
     even_l_power,
     g1,
@@ -48,6 +49,25 @@ def message_pairs(field):
         yield field.from_index(ai), field.from_index(bi)
 
 
+def ring_product(x, y):
+    """x y in Z[zeta_p], from the plain coefficient lists: the tests' own product."""
+    p = x.p
+    out = [0] * p
+    for i, s in enumerate(x.coeffs):
+        for j, t in enumerate(y.coeffs):
+            out[(i + j) % p] += s * t
+    return CycInt(p, out)
+
+
+def conjugate(x):
+    """zeta -> zeta^{-1} on the coefficient list."""
+    p = x.p
+    out = [0] * p
+    for i, s in enumerate(x.coeffs):
+        out[-i % p] += s
+    return CycInt(p, out)
+
+
 def dict_sum_oracle(p, terms):
     """Independent Z[zeta_p] accumulator: list of (coeff, exponent) pairs."""
     v = [0] * p
@@ -75,12 +95,43 @@ def test_cycint_ring_axioms(p, data):
     y = CycInt(p, data.draw(vec))
     z = CycInt(p, data.draw(vec))
     assert (x + y) + z == x + (y + z)
-    assert x * y == y * x
-    assert x * (y + z) == x * y + x * z
-    assert (x * y) * z == x * (y * z)
-    # canonical form is unique: equal values compare equal after any shuffle
-    k = data.draw(st.integers(1, p - 1))
-    assert x.galois(k).galois(pow(k, -1, p)) == x
+    assert x + y == y + x
+    # canonical form is unique: a value and the same value rebuilt compare equal
+    assert (x - y) + y == x == -(-x)
+    assert (x - x).is_zero()
+
+
+def test_closed_values_form_no_ring_products():
+    # every closed sum is a monomial record, so CycInt keeps no product, and g1 keeps no cache
+    for name in ("__mul__", "__rmul__", "galois", "conjugate", "abs_square"):
+        assert not hasattr(CycInt, name), name
+    assert not hasattr(g1, "cache_clear")
+    assert g1(5) is not g1(5) and g1(5) == g1(5)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 47, 32771])
+def test_g1_coefficients_are_the_legendre_symbol(p):
+    assert g1(p) == CycInt(p, [eta1(p, c) for c in range(p)])
+
+
+def test_g1_coefficients_at_p_10_6():
+    p = 1000003
+    coeffs = g1(p).coeffs
+    last = eta1(p, p - 1)  # the canonical form subtracts the coefficient at p - 1
+    assert coeffs[-1] == 0
+    for c in random.Random(p).sample(range(p), 1000):
+        assert coeffs[c] == eta1(p, c) - last, c
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_monomial_record_is_c_g1_power_zeta_power(p):
+    # (c, g, e) against the ring product of its factors, every e and both g
+    for c in (1, -2, p**3):
+        for e in range(-p, 2 * p):
+            zeta_e = CycInt(p, [int(i == e % p) for i in range(p)])
+            assert _monomial(p, c, 0, e) == CycInt(p, [c * t for t in zeta_e.coeffs])
+            g1_c = CycInt(p, [c * eta1(p, i) for i in range(p)])
+            assert _monomial(p, c, 1, e) == ring_product(g1_c, zeta_e), (c, e)
 
 
 def test_gauss_brute_f3_and_f9():
@@ -107,7 +158,7 @@ def test_gauss_scale_resolution():
 
 def test_g1_squared_is_eta_minus_one_times_p():
     for p in (3, 5, 7, 11):
-        assert (g1(p) * g1(p)).as_int() == eta1(p, -1) * p
+        assert ring_product(g1(p), g1(p)).as_int() == eta1(p, -1) * p
 
 
 @pytest.mark.parametrize(
@@ -136,7 +187,7 @@ def test_brute_quad_sum_is_exact_past_the_float64_cube_bound():
 
 def test_gauss_closed_m1_is_g1():
     assert gauss_sum_closed(3, 1) == g1(3)
-    assert (gauss_sum_closed(5, 1) * gauss_sum_closed(5, 1)).as_int() == 5
+    assert ring_product(gauss_sum_closed(5, 1), gauss_sum_closed(5, 1)).as_int() == 5
 
 
 def test_orthogonality():
@@ -191,7 +242,7 @@ def test_weil_closed_spec_values():
     f3 = field_create(3, 1)
     # v = gcd(1,2) = 1, m/v odd; x0 solves 2X = -1 so x0 = 1; value G_1 zeta^{-1}
     got = weil_sum_closed(f3, 2, f3.one(), f3.one())
-    assert got == g1(3) * CycInt.zeta(3, -1)
+    assert got == ring_product(g1(3), CycInt.zeta(3, -1))
     assert got.coeffs == (1, -1, 0)
     f81 = field_create(3, 4)
     zero_hits = sum(
@@ -222,7 +273,7 @@ def test_quad_sums():
     assert q2 == gauss_sum_closed(3, 2)
     # (F_3, a=2, b=1): eta1(2) = -1 and -1/(4*2) = 1 mod 3
     got = quad_sum_closed(f3, f3.scalar(2), f3.one())
-    assert got == -1 * g1(3) * CycInt.zeta(3, 1)
+    assert got == -ring_product(g1(3), CycInt.zeta(3, 1))
     assert got == quad_sum_bruteforce(f3, f3.scalar(2), f3.one())
     with pytest.raises(ZeroA):
         quad_sum_closed(f3, f3.zero(), f3.one())
@@ -340,10 +391,11 @@ def test_weil_dispatch_case_test_matches_the_restricted_power(p, m, u):
     units = range(1, q) if q <= 729 else random.Random(q + u).sample(range(1, q), 300)
     for ai in units:
         a = field.from_index(ai)
-        _, scale = _weil_dispatch(field, u, a)
-        invertible = scale == CycInt.integer(p, sign * p**s)
+        _, c, g = _weil_dispatch(field, u, a)
+        assert g == 0, ai
+        invertible = c == sign * p**s
         assert invertible == (a ** ((p**m - 1) // (p**v + 1)) != field.scalar(sign)), ai
-        assert invertible != (scale == CycInt.integer(p, -sign * p ** (s + v)))
+        assert invertible != (c == -sign * p ** (s + v))
 
 
 def test_closed_sums_raise_no_element_to_a_power(monkeypatch):
@@ -467,4 +519,4 @@ def test_abs_square_spectrum():
             for ai in range(1, field.q, max(1, field.q // 11)):
                 for bi in range(0, field.q, max(1, field.q // 11)):
                     s = weil_sum_bruteforce(field, u, field.from_index(ai), field.from_index(bi))
-                    assert s.abs_square().as_int() in allowed
+                    assert ring_product(s, conjugate(s)).as_int() in allowed

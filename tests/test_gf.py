@@ -587,6 +587,8 @@ def test_norm_inverse_and_eta_match_square_and_multiply(p, m, modulus):
         assert euler in (one, minus_one)
         assert x.eta() == (1 if euler == one else -1), i
         assert f.scalar(x.norm()) == x ** ((q - 1) // (p - 1)), i
+        r, norm = x.norm_cofactor()
+        assert norm == x.norm() and x * r == f.scalar(norm), i
     assert f.zero().norm() == 0 and f.zero().eta() == 0
 
 
